@@ -609,7 +609,7 @@ mod tests {
             vlen: 128,
             mem_bytes: 1 << 16,
         });
-        m.run_plan(&plan, 100).unwrap();
+        m.run_plan(&plan, 100, 0, false, &mut ()).unwrap();
         assert_eq!(m.xreg(XReg::new(5)), 7);
     }
 

@@ -64,17 +64,6 @@ impl BatchRunner {
         &self.backoff
     }
 
-    /// A runner over a private engine that compiles into an existing
-    /// registry. Compatibility shim from before the engine/session split;
-    /// prefer [`BatchRunner::with_engine`], which shares policy as well as
-    /// plans.
-    pub fn with_cache(threads: usize, plans: Arc<PlanCache>) -> BatchRunner {
-        BatchRunner::with_engine(
-            threads,
-            Arc::new(Engine::builder().plan_cache(plans).build()),
-        )
-    }
-
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads

@@ -193,20 +193,19 @@ impl QueueJournal {
                     max_id = max_id.max(id);
                 }
                 QueueEntry::Done { id, payload } => {
-                    if !submitted.contains_key(&id)
-                        && journal.salvage.is_empty() {
-                            // A clean journal with an orphan done means the
-                            // writer protocol was violated; replay refuses
-                            // rather than inventing history.
-                            return Err(bad(format!(
-                                "{}: done record for job {id} without a submit",
-                                path.display()
-                            )));
-                        }
-                        // The submit record was evidently inside a
-                        // quarantined range: the completion is the proof
-                        // the job was accepted *and* finished, so recover
-                        // it as completed rather than discarding it.
+                    if !submitted.contains_key(&id) && journal.salvage.is_empty() {
+                        // A clean journal with an orphan done means the
+                        // writer protocol was violated; replay refuses
+                        // rather than inventing history.
+                        return Err(bad(format!(
+                            "{}: done record for job {id} without a submit",
+                            path.display()
+                        )));
+                    }
+                    // The submit record was evidently inside a
+                    // quarantined range: the completion is the proof
+                    // the job was accepted *and* finished, so recover
+                    // it as completed rather than discarding it.
                     // First completion wins: a crash can land between a
                     // re-run and its done append, so duplicates are legal
                     // — and byte-identical for deterministic jobs anyway.

@@ -155,7 +155,10 @@ impl OpRng {
 /// never fires; `period = 1` always fires; period `p` fires on roughly
 /// one op in `p`, at ordinals that are a pure function of the seed.
 fn fires(seed: u64, salt: u64, ordinal: u64, period: u64) -> bool {
-    period != 0 && OpRng::new(seed ^ mix64(salt), ordinal).next().is_multiple_of(period)
+    period != 0
+        && OpRng::new(seed ^ mix64(salt), ordinal)
+            .next()
+            .is_multiple_of(period)
 }
 
 const SALT_WRITE: u64 = 0x57;
@@ -389,13 +392,11 @@ impl StorageFile for ChaosFile {
                     .below(buf.len() as u64) as usize;
                 inode.data.extend_from_slice(&buf[..keep]);
             }
-            return Err(io::Error::other(
-                if hard_fail {
-                    format!("injected storage failure (write op {write_op})")
-                } else {
-                    format!("injected transient write error (op {op})")
-                },
-            ));
+            return Err(io::Error::other(if hard_fail {
+                format!("injected storage failure (write op {write_op})")
+            } else {
+                format!("injected transient write error (op {op})")
+            }));
         }
         inode.data.extend_from_slice(buf);
         Ok(())

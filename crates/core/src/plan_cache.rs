@@ -30,9 +30,9 @@ type PlanKey = (String, KernelConfig, SpillProfile);
 /// A thread-safe registry of compiled kernel plans, keyed
 /// `(name, KernelConfig, SpillProfile)`.
 ///
-/// Create one per process (or per sweep) and hand clones of the `Arc` to
-/// every [`crate::ScanEnv`] via [`crate::ScanEnv::with_cache`]; environments
-/// built with [`crate::ScanEnv::new`] get a private registry and behave
+/// Create one per process (or per sweep) and share it through the engines
+/// that hand out sessions ([`crate::EngineBuilder::plan_cache`]); sessions
+/// built with [`crate::Session::new`] get a private registry and behave
 /// exactly as before.
 #[derive(Debug, Default)]
 pub struct PlanCache {

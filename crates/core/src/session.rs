@@ -32,8 +32,8 @@ use rvv_asm::SpillProfile;
 use rvv_isa::Instr;
 use rvv_isa::{KernelConfig, Lmul, Sew, XReg};
 use rvv_sim::{
-    CancelToken, CompiledPlan, FaultAction, FaultHook, Machine, MachineConfig, MemAccess, Program,
-    RunReport, SimError, TraceSink, DEFAULT_FUEL,
+    CancelToken, CompiledPlan, FaultAction, FaultHook, Hooked, Machine, MachineConfig, MemAccess,
+    Observer, Program, RunReport, SimError, SimResult, TraceSink, Traced, DEFAULT_FUEL,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -156,15 +156,16 @@ pub struct HeapMark(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Pre-decoded execution plan with SEW-specialized dispatch
-    /// ([`Machine::run_plan`]). The default.
+    /// ([`Machine::run_plan`] without `fuse`). The default.
     #[default]
     Plan,
     /// The reference decode-classify-dispatch interpreter
     /// ([`Machine::run_legacy`]).
     Legacy,
     /// The plan engine plus peephole-fused superinstruction windows
-    /// ([`Machine::run_fused`]): strip-mine bodies, `vv` maps, scan steps,
-    /// and whole-register chains execute as single bulk kernels.
+    /// ([`Machine::run_plan`] with `fuse`): strip-mine bodies, `vv` maps,
+    /// scan steps, and whole-register chains execute as single bulk
+    /// kernels.
     Fused,
 }
 
@@ -191,6 +192,21 @@ impl ExecEngine {
             ExecEngine::Plan => "plan",
             ExecEngine::Legacy => "legacy",
             ExecEngine::Fused => "fused",
+        }
+    }
+
+    /// Launch `plan` on this tier's run loop under observer `obs`.
+    fn launch<O: Observer>(
+        self,
+        m: &mut Machine,
+        plan: &CompiledPlan,
+        fuel: u64,
+        obs: &mut O,
+    ) -> SimResult<RunReport> {
+        match self {
+            ExecEngine::Plan => m.run_plan(plan, fuel, 0, false, obs),
+            ExecEngine::Fused => m.run_plan(plan, fuel, 0, true, obs),
+            ExecEngine::Legacy => m.run_legacy(plan.program(), fuel, 0, obs),
         }
     }
 }
@@ -225,22 +241,24 @@ pub struct Session {
 }
 
 /// The historical name for [`Session`], kept so the whole pre-split API
-/// surface (`ScanEnv::new`, `ScanEnv::with_cache`, every consumer
-/// signature) continues to compile unchanged.
+/// surface (`ScanEnv::new`, every consumer signature) continues to
+/// compile unchanged.
 pub type ScanEnv = Session;
 
-/// The cancellation shim [`Session::run`] wraps launches in while a
-/// [`CancelToken`] is attached: consults the token before each instruction
-/// (counting boundaries so the trap carries the ordinal), then delegates
-/// to any attached fault hook. Trapping *before* the instruction means a
+/// The observer [`Session::run`] launches with while a [`CancelToken`] is
+/// attached: consults the token before each instruction (counting
+/// boundaries so the trap carries the ordinal), then delegates to any
+/// attached fault hook. Trapping *before* the instruction means a
 /// cancelled launch retires nothing past the observed boundary.
 struct CancelCheck<'a> {
-    token: CancelToken,
+    token: &'a CancelToken,
     seq: u64,
     inner: Option<&'a mut (dyn FaultHook + Send + 'static)>,
 }
 
-impl FaultHook for CancelCheck<'_> {
+impl Observer for CancelCheck<'_> {
+    const INTERCEPTS: bool = true;
+
     fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction {
         self.seq += 1;
         if self.token.check() {
@@ -282,20 +300,6 @@ impl Session {
     /// construction goes through [`Engine::session`].
     pub fn new(cfg: EnvConfig) -> Session {
         Engine::new()
-            .session(cfg)
-            .expect("invalid EnvConfig (see Engine::validate)")
-    }
-
-    /// Build a session whose private engine compiles kernels into (and
-    /// launches them from) an existing shared [`PlanCache`]. Sessions
-    /// sharing a registry never recompile a kernel another one already
-    /// built for the same `(name, VLEN, SEW, LMUL, spill profile)`.
-    /// Compatibility shim over `Engine::builder().plan_cache(..)`; panics
-    /// on an invalid configuration like [`Session::new`].
-    pub fn with_cache(cfg: EnvConfig, plans: Arc<PlanCache>) -> Session {
-        Engine::builder()
-            .plan_cache(plans)
-            .build()
             .session(cfg)
             .expect("invalid EnvConfig (see Engine::validate)")
     }
@@ -466,10 +470,9 @@ impl Session {
         self.fuel_budget.map(|(b, _)| b)
     }
 
-    /// Attach a [`FaultHook`]: every subsequent kernel launch runs through
-    /// the faulted drivers ([`Machine::run_plan_faulted`] /
-    /// [`Machine::run_legacy_faulted`]), which consult the hook before each
-    /// instruction. Replaces (and returns) any previously attached hook.
+    /// Attach a [`FaultHook`]: every subsequent kernel launch consults it
+    /// before each instruction (the [`Hooked`] observer; fused launches
+    /// run op by op). Replaces (and returns) any previously attached hook.
     /// While a hook is attached, launches are *not* traced (fault injection
     /// and trace capture are separate experiments).
     pub fn attach_fault_hook(
@@ -569,10 +572,10 @@ impl Session {
 
     // ------------------------------------------------------------- tracing --
 
-    /// Attach a [`TraceSink`]: every subsequent kernel launch runs through
-    /// [`Machine::run_traced`] and every phase entered via
-    /// [`Session::phase`] is forwarded to the sink. Replaces (and returns)
-    /// any previously attached sink.
+    /// Attach a [`TraceSink`]: every subsequent kernel launch without a
+    /// fault hook or cancel token runs under the [`Traced`] observer and
+    /// every phase entered via [`Session::phase`] is forwarded to the sink.
+    /// Replaces (and returns) any previously attached sink.
     pub fn attach_tracer(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
         self.tracer.replace(sink)
     }
@@ -822,42 +825,28 @@ impl Session {
             }
             None => (DEFAULT_FUEL, None),
         };
-        // An attached cancel token routes the launch through the faulted
-        // drivers behind a shim that consults the token first and then
-        // delegates to any attached fault hook — the same per-instruction
-        // boundary in every tier, so a deterministic trip point cancels at
-        // the same ordinal with the same partial counters on Plan, Legacy,
-        // and Fused alike.
-        let mut shim;
-        let hook: Option<&mut (dyn FaultHook + '_)> =
-            match (&self.cancel, self.fault.as_deref_mut()) {
-                (Some(token), inner) => {
-                    shim = CancelCheck {
-                        token: token.clone(),
-                        seq: 0,
-                        inner,
-                    };
-                    Some(&mut shim)
-                }
-                (None, Some(h)) => Some(h),
-                (None, None) => None,
-            };
-        let report = match (self.exec, hook, self.tracer.as_deref_mut()) {
-            (ExecEngine::Plan, Some(hook), _) => self.machine.run_plan_faulted(plan, fuel, hook),
-            (ExecEngine::Fused, Some(hook), _) => self.machine.run_fused_faulted(plan, fuel, hook),
-            (ExecEngine::Legacy, Some(hook), _) => {
-                self.machine.run_legacy_faulted(plan.program(), fuel, hook)
+        // A cancel token is consulted before any fault hook at the same
+        // per-instruction boundary in every tier, so a deterministic trip
+        // point cancels at the same ordinal with the same partial counters
+        // on Plan, Legacy, and Fused alike. A token or hook suppresses
+        // tracing.
+        let (exec, m) = (self.exec, &mut self.machine);
+        let report = match (
+            &self.cancel,
+            self.fault.as_deref_mut(),
+            self.tracer.as_deref_mut(),
+        ) {
+            (Some(token), inner, _) => {
+                let mut check = CancelCheck {
+                    token,
+                    seq: 0,
+                    inner,
+                };
+                exec.launch(m, plan, fuel, &mut check)
             }
-            (ExecEngine::Plan, None, Some(sink)) => self.machine.run_plan_traced(plan, fuel, sink),
-            (ExecEngine::Plan, None, None) => self.machine.run_plan(plan, fuel),
-            (ExecEngine::Fused, None, Some(sink)) => {
-                self.machine.run_fused_traced(plan, fuel, sink)
-            }
-            (ExecEngine::Fused, None, None) => self.machine.run_fused(plan, fuel),
-            (ExecEngine::Legacy, None, Some(sink)) => {
-                self.machine.run_legacy_traced(plan.program(), fuel, sink)
-            }
-            (ExecEngine::Legacy, None, None) => self.machine.run_legacy(plan.program(), fuel),
+            (None, Some(hook), _) => exec.launch(m, plan, fuel, &mut Hooked(hook)),
+            (None, None, Some(sink)) => exec.launch(m, plan, fuel, &mut Traced(sink)),
+            (None, None, None) => exec.launch(m, plan, fuel, &mut ()),
         };
         // The run loop is the only source of `FuelExhausted`, and it always
         // carries the launch's metered fuel (injected fuel faults trap as

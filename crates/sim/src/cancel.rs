@@ -2,13 +2,14 @@
 //!
 //! A [`CancelToken`] is a cheap, clonable flag a supervisor (deadline
 //! watchdog, shutdown handler, client-disconnect detector) raises from
-//! another thread. The machine never polls the clock itself: the token is
-//! consulted at the same per-instruction boundary where a
-//! [`FaultHook`](crate::FaultHook) runs, once per retired instruction in
-//! retirement order, identically in every engine tier. A run that observes
-//! the token cancelled traps with [`SimError::Cancelled`](crate::SimError)
-//! carrying the boundary ordinal, so partial progress (retired count,
-//! counters) is deterministic for a deterministic trip point.
+//! another thread. The machine never polls the clock itself: an
+//! intercepting [`Observer`](crate::Observer) consults the token at the
+//! per-instruction boundary where a [`FaultHook`](crate::FaultHook) runs,
+//! in retirement order, identically in every engine tier. A run that
+//! observes the token cancelled traps with
+//! [`SimError::Cancelled`](crate::SimError) carrying the boundary ordinal,
+//! so partial progress (retired count, counters) is deterministic for a
+//! deterministic trip point.
 //!
 //! Two trip modes:
 //!

@@ -3,10 +3,10 @@
 //! A [`FaultHook`] observes execution the way a [`crate::TraceSink`] does,
 //! but *before* each instruction executes, and it can intervene: let the
 //! instruction through, force a trap, or substitute another instruction
-//! (modelling a corrupted fetch). The ordinary run loops
-//! ([`crate::Machine::run_plan`], [`crate::Machine::run_legacy`]) do not
-//! know hooks exist — only the dedicated `*_faulted` drivers consult one,
-//! so the unfaulted path stays zero-cost.
+//! (modelling a corrupted fetch). A run consults a hook through the
+//! [`Hooked`](crate::Hooked) [`Observer`](crate::Observer); an unfaulted
+//! run's instantiation compiles the consultation away, so it stays
+//! zero-cost.
 //!
 //! The contract that makes injection *deterministic* (and therefore
 //! differential-testable across engines): the hook is consulted exactly
@@ -50,16 +50,11 @@ pub trait FaultHook {
     fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction;
 }
 
-impl<H: FaultHook + ?Sized> FaultHook for &mut H {
-    fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction {
-        (**self).before(pc, instr, mem)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{Machine, MachineConfig};
+    use crate::observe::Hooked;
     use crate::program::Program;
     use rvv_isa::{AluOp, XReg};
 
@@ -114,8 +109,14 @@ mod tests {
             let plan = crate::plan::CompiledPlan::compile(program());
             let mut a = Machine::new(cfg);
             let mut b = Machine::new(cfg);
-            let ra = a.run_plan_faulted(&plan, 1000, &mut TrapAt { n, seen: 0 });
-            let rb = b.run_legacy_faulted(&program(), 1000, &mut TrapAt { n, seen: 0 });
+            let ra = a.run_plan(
+                &plan,
+                1000,
+                0,
+                false,
+                &mut Hooked(&mut TrapAt { n, seen: 0 }),
+            );
+            let rb = b.run_legacy(&program(), 1000, 0, &mut Hooked(&mut TrapAt { n, seen: 0 }));
             assert_eq!(ra, rb, "fault at instruction {n}");
             assert_eq!(a.counters, b.counters);
             assert_eq!(a.xreg(XReg::new(5)), b.xreg(XReg::new(5)));
@@ -162,10 +163,21 @@ mod tests {
         let mut a = Machine::new(cfg);
         let mut b = Machine::new(cfg);
         let ra = a
-            .run_plan_faulted(&plan, 1000, &mut ReplaceFirst { done: false })
+            .run_plan(
+                &plan,
+                1000,
+                0,
+                false,
+                &mut Hooked(&mut ReplaceFirst { done: false }),
+            )
             .unwrap();
         let rb = b
-            .run_legacy_faulted(&program(), 1000, &mut ReplaceFirst { done: false })
+            .run_legacy(
+                &program(),
+                1000,
+                0,
+                &mut Hooked(&mut ReplaceFirst { done: false }),
+            )
             .unwrap();
         assert_eq!(ra, rb);
         // x5 = 40 (replacement), then += 2 from the untouched second instr.

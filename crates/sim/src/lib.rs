@@ -59,6 +59,7 @@ mod exec;
 mod fault;
 mod machine;
 mod memory;
+mod observe;
 mod plan;
 mod program;
 mod snapshot;
@@ -71,6 +72,7 @@ pub use exec::Control;
 pub use fault::{FaultAction, FaultHook};
 pub use machine::{FusedStats, Machine, MachineConfig};
 pub use memory::{MemSnapshot, Memory, PAGE_BYTES};
+pub use observe::{Hooked, Observer, Traced};
 pub use plan::CompiledPlan;
 pub use program::{Program, RunReport, DEFAULT_FUEL};
 pub use snapshot::MachineSnapshot;

@@ -51,7 +51,8 @@ impl Default for MachineConfig {
     }
 }
 
-/// Diagnostic tally of fused-tier activity ([`Machine::run_fused`]).
+/// Diagnostic tally of fused-tier activity ([`Machine::run_plan`] with
+/// `fuse`).
 ///
 /// Deliberately **not** part of [`Counters`] or [`MachineSnapshot`]: the
 /// dispatch-independence invariant requires counters, traces, and snapshots
@@ -88,8 +89,8 @@ pub struct Machine {
     /// allocates.
     pub(crate) cmp_scratch: Vec<u64>,
     /// PC at which the last run loop paused with
-    /// [`SimError::FuelExhausted`] — the precise resume point for
-    /// `run_plan_from`/`run_legacy_from`. Captured by snapshots.
+    /// [`SimError::FuelExhausted`] — the precise `start_pc` to resume
+    /// from. Captured by snapshots.
     pub(crate) stop_pc: u64,
 }
 
@@ -118,9 +119,9 @@ impl Machine {
         }
     }
 
-    /// PC at which the last run loop paused with fuel exhaustion — pass
-    /// it to `run_plan_from`/`run_legacy_from` to continue exactly where
-    /// the run stopped. Zero until a run has paused.
+    /// PC at which the last run loop paused with fuel exhaustion — pass it
+    /// as the `start_pc` of a run on any tier to continue exactly where the
+    /// run stopped. Zero until a run has paused.
     #[inline]
     pub fn stop_pc(&self) -> u64 {
         self.stop_pc

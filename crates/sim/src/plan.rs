@@ -37,9 +37,10 @@
 
 use crate::error::{SimError, SimResult};
 use crate::exec::{alu_fn, branch_fn, Control};
+use crate::fault::FaultAction;
 use crate::machine::Machine;
+use crate::observe::Observer;
 use crate::program::{Program, RunReport};
-use crate::trace::{RetireEvent, TraceSink};
 use rvv_isa::{Instr, InstrClass, MemWidth, Sew, VAluOp, VCmp, VCsr, VReg, XReg};
 use std::sync::OnceLock;
 
@@ -92,8 +93,8 @@ impl CompiledPlan {
         }
     }
 
-    /// The fusion window index for [`Machine::run_fused`], built on first
-    /// use and cached for the plan's lifetime (plans are immutable).
+    /// The fusion window index for the fused tier, built on first use and
+    /// cached for the plan's lifetime (plans are immutable).
     pub(crate) fn fusion(&self) -> &fused::FusionTable {
         self.fused.get_or_init(|| fused::FusionTable::build(self))
     }
@@ -283,6 +284,16 @@ fn resolve_dynamic(byte: u64, len: usize) -> Flow {
         Flow::To((byte / 4) as usize)
     } else {
         Flow::BadJump(byte)
+    }
+}
+
+/// The flow of an instruction that ran through [`Machine::exec`].
+#[inline(always)]
+fn flow_of(ctl: Control, len: usize) -> Flow {
+    match ctl {
+        Control::Next => Flow::Seq,
+        Control::Jump(t) => resolve_dynamic(t, len),
+        Control::Halt => Flow::Halt,
     }
 }
 
@@ -1664,95 +1675,65 @@ impl OpKind {
             }
             OpKind::Generic { idx } => {
                 let i = *idx as usize;
-                match m.exec_inner((i as u64) * 4, &plan.source.instrs[i])? {
-                    Control::Next => Ok(Flow::Seq),
-                    Control::Jump(t) => Ok(resolve_dynamic(t, plan.ops.len())),
-                    Control::Halt => Ok(Flow::Halt),
-                }
+                let ctl = m.exec_inner((i as u64) * 4, &plan.source.instrs[i])?;
+                Ok(flow_of(ctl, plan.ops.len()))
             }
         }
     }
 }
 
 impl Machine {
-    /// Run a compiled plan from its first instruction until `ecall`, a trap,
-    /// or `fuel` retired instructions. Architecturally identical to
-    /// [`Machine::run_legacy`] on the plan's source program.
-    pub fn run_plan(&mut self, plan: &CompiledPlan, fuel: u64) -> SimResult<RunReport> {
-        self.run_plan_from(plan, fuel, 0)
-    }
-
-    /// [`Machine::run_plan`] starting at byte address `start_pc` — the
-    /// resume half of checkpointing, mirroring
-    /// [`Machine::run_legacy_from`]. A misaligned `start_pc` (a pause
-    /// that landed on a pending bad jump) reproduces the
-    /// [`SimError::BadControlFlow`] trap the uninterrupted run would have
-    /// raised.
-    pub fn run_plan_from(
+    /// Run a compiled plan from byte address `start_pc` until `ecall`, a
+    /// trap, or `fuel` retired instructions, reporting to `obs` (`&mut ()`
+    /// for a plain run). Architecturally identical to
+    /// [`Machine::run_legacy`] under the same [`Observer`].
+    ///
+    /// With `fuse` this is the **fused tier**: recognized instruction
+    /// windows execute as single bulk kernels, tallied in
+    /// [`Machine::fused_stats`] — unless the observer intercepts
+    /// ([`Observer::INTERCEPTS`]): it must see every instruction boundary
+    /// and a window has none inside it. Without `fuse` the plan's fusion
+    /// table is never built.
+    ///
+    /// Resuming from [`Machine::stop_pc`] after a
+    /// [`SimError::FuelExhausted`] pause, on any tier, retires exactly the
+    /// instructions an uninterrupted run would have, including a pending
+    /// bad-jump trap.
+    pub fn run_plan<O: Observer>(
         &mut self,
         plan: &CompiledPlan,
         fuel: u64,
         start_pc: u64,
+        fuse: bool,
+        obs: &mut O,
     ) -> SimResult<RunReport> {
+        obs.launch(&plan.source);
+        if fuse && !O::INTERCEPTS {
+            self.drive::<O, true>(plan, fuel, start_pc, obs)
+        } else {
+            self.drive::<O, false>(plan, fuel, start_pc, obs)
+        }
+    }
+
+    /// The loop behind [`Machine::run_plan`]; `FUSE` makes the window fast
+    /// path a compile-time property of each instantiation. Kept out of
+    /// line: inlined, both loops of an observer land in one function
+    /// (twice the size of either), and the fused tier measured slower.
+    #[inline(never)]
+    fn drive<O: Observer, const FUSE: bool>(
+        &mut self,
+        plan: &CompiledPlan,
+        fuel: u64,
+        start_pc: u64,
+        obs: &mut O,
+    ) -> SimResult<RunReport> {
+        let table = if FUSE { Some(plan.fusion()) } else { None };
         let before = self.counters.total();
         let mut key = vtype_key(self);
         let mut at: usize = (start_pc / 4) as usize;
         // A retired jump to an invalid target traps on the *next* iteration,
         // after the fuel check — exactly the legacy loop's ordering.
         let mut bad: Option<u64> = (!start_pc.is_multiple_of(4)).then_some(start_pc);
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// [`Machine::run_plan`] with [`crate::DEFAULT_FUEL`].
-    pub fn run_plan_default(&mut self, plan: &CompiledPlan) -> SimResult<RunReport> {
-        self.run_plan(plan, crate::program::DEFAULT_FUEL)
-    }
-
-    /// Like [`Machine::run_plan`], but reports every retired instruction to
-    /// `sink`. Events carry the plan's pre-computed class; event assembly
-    /// and delivery ordering match the legacy traced loop (assembled before
-    /// execution, delivered after a successful retire).
-    pub fn run_plan_traced(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult<RunReport> {
-        sink.launch(&plan.source);
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
         loop {
             let seq = self.counters.total() - before;
             if seq >= fuel {
@@ -1762,111 +1743,28 @@ impl Machine {
             if let Some(target) = bad {
                 return Err(SimError::BadControlFlow { target });
             }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let instr = &plan.source.instrs[at];
-            let event = RetireEvent {
-                pc: (at as u64) * 4,
-                instr,
-                class: op.class,
-                vl: self.vl(),
-                vtype: self.vtype(),
-                mem: self.mem_footprint(instr),
-                seq,
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            sink.retire(&event);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
+            // Window fast path: only with enough fuel for the whole window
+            // (otherwise per-op execution exhausts fuel at the exact op the
+            // plan tier would) and only when every precondition holds. Window
+            // ops never touch `xregs`, `vl`, or `vtype`, and `mem_footprint`
+            // is a pure function of those, so their events can be assembled
+            // after the bulk kernel without observable difference.
+            if let Some(w) = table.and_then(|t| t.at(at)) {
+                let len = w.len as usize;
+                if fuel - seq >= len as u64 && w.try_execute(self, key) {
+                    for (k, op) in plan.ops[at..at + len].iter().enumerate() {
+                        self.counters.retire_class(op.class);
+                        if O::TRACES {
+                            let pc = ((at + k) as u64) * 4;
+                            let instr = &plan.source.instrs[at + k];
+                            obs.retire(&self.retire_event(pc, instr, op.class, seq + k as u64));
+                        }
+                    }
+                    self.fused_stats.windows += 1;
+                    self.fused_stats.ops += len as u64;
+                    at += len;
+                    continue;
                 }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Like [`Machine::run_plan`], but calls `hook(pc, instr)` before each
-    /// instruction executes.
-    pub fn run_plan_hooked(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        mut hook: impl FnMut(u64, &Instr),
-    ) -> SimResult<RunReport> {
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            hook((at as u64) * 4, &plan.source.instrs[at]);
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Like [`Machine::run_plan`], but consults a [`crate::FaultHook`]
-    /// before each instruction executes. Architecturally identical to
-    /// [`Machine::run_legacy_faulted`] with the same hook: the hook is
-    /// consulted at the same points, a forced trap aborts without retiring,
-    /// and a replacement instruction executes (and is counted) by its own
-    /// class through the generic [`Machine::exec`] path on both engines.
-    pub fn run_plan_faulted(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        hook: &mut dyn crate::FaultHook,
-    ) -> SimResult<RunReport> {
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
             }
             let Some(op) = plan.ops.get(at) else {
                 return Err(SimError::BadControlFlow {
@@ -1874,29 +1772,41 @@ impl Machine {
                 });
             };
             let pc = (at as u64) * 4;
-            let instr = &plan.source.instrs[at];
-            let flow = match hook.before(pc, instr, self.mem_footprint(instr).as_ref()) {
-                crate::FaultAction::Pass => {
+            // The source instruction is only fetched for an observer: the
+            // plain loop runs on the micro-op alone.
+            let replaced = if O::INTERCEPTS {
+                let fetched = &plan.source.instrs[at];
+                match obs.before(pc, fetched, self.mem_footprint(fetched).as_ref()) {
+                    FaultAction::Pass => None,
+                    FaultAction::Trap(e) => return Err(e),
+                    FaultAction::Replace(r) => Some(r),
+                }
+            } else {
+                None
+            };
+            let event = O::TRACES.then(|| match &replaced {
+                None => self.retire_event(pc, &plan.source.instrs[at], op.class, seq),
+                Some(r) => self.retire_event(pc, r, InstrClass::of(r), seq),
+            });
+            let flow = match &replaced {
+                None => {
                     let flow = op.kind.execute(self, plan, key)?;
                     self.counters.retire_class(op.class);
                     flow
                 }
-                crate::FaultAction::Trap(e) => return Err(e),
-                crate::FaultAction::Replace(r) => {
-                    // The replacement goes through the generic exec path
-                    // (which retires it under the *replacement*'s class —
-                    // exactly what the legacy loop does). It may be a
-                    // vsetvli, so the specialization key is refreshed
-                    // unconditionally.
-                    let ctl = self.exec(pc, &r)?;
+                Some(r) => {
+                    // A replacement goes through the generic exec path, which
+                    // retires it under its own class — exactly what the legacy
+                    // loop does. It may be a vsetvli, so the specialization
+                    // key is refreshed unconditionally.
+                    let ctl = self.exec(pc, r)?;
                     key = vtype_key(self);
-                    match ctl {
-                        Control::Next => Flow::Seq,
-                        Control::Jump(t) => resolve_dynamic(t, plan.ops.len()),
-                        Control::Halt => Flow::Halt,
-                    }
+                    flow_of(ctl, plan.ops.len())
                 }
             };
+            if let Some(event) = &event {
+                obs.retire(event);
+            }
             match flow {
                 Flow::Seq => at += 1,
                 Flow::To(i) => at = i,
@@ -1908,7 +1818,7 @@ impl Machine {
                 Flow::Halt => {
                     return Ok(RunReport {
                         retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
+                        halt_pc: pc,
                     })
                 }
             }

@@ -25,14 +25,15 @@
 //! proves the per-op execution of every instruction in the window would be
 //! trap-free; the checks are completed *before any byte of state changes*,
 //! so a kernel that declines (returns `false`) has touched nothing and the
-//! driver re-executes the window through the ordinary per-op loop — which
-//! reproduces exact architectural behaviour including per-element trap
-//! addresses and partial writes. On the fast path the driver retires each
-//! constituent op's class individually, so [`crate::Counters`] totals,
-//! per-class histograms, fuel metering, trace events, and `stop_pc` are
-//! bit-identical to [`Machine::run_plan`]. The three-engine differential
-//! suites (`tests/fuzz_exec.rs`, `rvv-algos/tests/differential.rs`) enforce
-//! this on instruction soup and on every paper kernel.
+//! driver ([`Machine::run_plan`] with `fuse`) re-executes the window op by
+//! op — which reproduces exact architectural behaviour including
+//! per-element trap addresses and partial writes. On the fast path the
+//! driver retires each constituent op's class individually, so
+//! [`crate::Counters`] totals, per-class histograms, fuel metering, trace
+//! events, and `stop_pc` are bit-identical to the plan tier's. The
+//! three-engine differential suites (`tests/fuzz_exec.rs`,
+//! `rvv-algos/tests/differential.rs`) enforce this on instruction soup and
+//! on every paper kernel.
 
 use super::*;
 
@@ -48,7 +49,7 @@ type FusedFn = fn(&mut Machine, &WindowKind) -> bool;
 /// the [`FusionTable`] maps to it.
 #[derive(Debug)]
 pub(crate) struct Window {
-    len: u32,
+    pub(super) len: u32,
     kind: WindowKind,
     kernels: KCache<FusedFn>,
 }
@@ -155,7 +156,7 @@ impl FusionTable {
     /// runs per-op — every window op is straight-line, so the semantics
     /// are position-independent.
     #[inline(always)]
-    fn at(&self, idx: usize) -> Option<&Window> {
+    pub(super) fn at(&self, idx: usize) -> Option<&Window> {
         match self.starts.get(idx) {
             Some(Some(w)) => Some(&self.windows[*w as usize]),
             _ => None,
@@ -395,7 +396,7 @@ impl Window {
     /// [`vtype_key`]; `vill` (key 0) declines, so the per-op fallback
     /// raises the architectural trap.
     #[inline(always)]
-    fn try_execute(&self, m: &mut Machine, key: u8) -> bool {
+    pub(super) fn try_execute(&self, m: &mut Machine, key: u8) -> bool {
         if let WindowKind::WholeChain(ops) = &self.kind {
             // Whole-register moves are vtype-independent: no SEW kernel.
             return exec_whole_chain(m, ops);
@@ -786,186 +787,4 @@ fn exec_whole_chain(m: &mut Machine, ops: &[WholeOp]) -> bool {
         }
     }
     true
-}
-
-// ----------------------------------------------------------------- drivers --
-
-impl Machine {
-    /// Run a compiled plan on the **fused tier**: identical to
-    /// [`Machine::run_plan`] architecturally (state, counters, traps, fuel
-    /// metering — the differential suites enforce it), but executes
-    /// recognized instruction windows as single bulk kernels. Fusion
-    /// activity is tallied in [`Machine::fused_stats`].
-    pub fn run_fused(&mut self, plan: &CompiledPlan, fuel: u64) -> SimResult<RunReport> {
-        self.run_fused_from(plan, fuel, 0)
-    }
-
-    /// [`Machine::run_fused`] with [`crate::DEFAULT_FUEL`].
-    pub fn run_fused_default(&mut self, plan: &CompiledPlan) -> SimResult<RunReport> {
-        self.run_fused(plan, crate::program::DEFAULT_FUEL)
-    }
-
-    /// [`Machine::run_fused`] starting at byte address `start_pc` — the
-    /// resume half of checkpointing, mirroring [`Machine::run_plan_from`].
-    /// A snapshot paused on any tier resumes identically on any other.
-    pub fn run_fused_from(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        start_pc: u64,
-    ) -> SimResult<RunReport> {
-        let table = plan.fusion();
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = (start_pc / 4) as usize;
-        let mut bad: Option<u64> = (!start_pc.is_multiple_of(4)).then_some(start_pc);
-        loop {
-            let spent = self.counters.total() - before;
-            if spent >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            // Window fast path: only with enough fuel for the whole window
-            // (otherwise per-op execution exhausts fuel at the exact op the
-            // plan tier would) and only when every precondition holds.
-            if let Some(w) = table.at(at) {
-                if fuel - spent >= u64::from(w.len) && w.try_execute(self, key) {
-                    for op in &plan.ops[at..at + w.len as usize] {
-                        self.counters.retire_class(op.class);
-                    }
-                    self.fused_stats.windows += 1;
-                    self.fused_stats.ops += u64::from(w.len);
-                    at += w.len as usize;
-                    continue;
-                }
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Like [`Machine::run_fused`], but reports every retired instruction
-    /// to `sink` — including the constituents of fused windows, in order,
-    /// with events byte-identical to [`Machine::run_plan_traced`]. Window
-    /// ops never touch `xregs`, `vl`, or `vtype`, and `mem_footprint` is a
-    /// pure function of those, so the per-op events can be assembled after
-    /// the bulk kernel without observable difference.
-    pub fn run_fused_traced(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult<RunReport> {
-        sink.launch(&plan.source);
-        let table = plan.fusion();
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
-        loop {
-            let seq = self.counters.total() - before;
-            if seq >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            if let Some(w) = table.at(at) {
-                if fuel - seq >= u64::from(w.len) && w.try_execute(self, key) {
-                    self.fused_stats.windows += 1;
-                    self.fused_stats.ops += u64::from(w.len);
-                    let end = at + w.len as usize;
-                    let ops = plan.ops[at..end].iter();
-                    for (k, (op, instr)) in ops.zip(&plan.source.instrs[at..end]).enumerate() {
-                        self.counters.retire_class(op.class);
-                        let event = RetireEvent {
-                            pc: ((at + k) as u64) * 4,
-                            instr,
-                            class: op.class,
-                            vl: self.vl(),
-                            vtype: self.vtype(),
-                            mem: self.mem_footprint(instr),
-                            seq: seq + k as u64,
-                        };
-                        sink.retire(&event);
-                    }
-                    at = end;
-                    continue;
-                }
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let instr = &plan.source.instrs[at];
-            let event = RetireEvent {
-                pc: (at as u64) * 4,
-                instr,
-                class: op.class,
-                vl: self.vl(),
-                vtype: self.vtype(),
-                mem: self.mem_footprint(instr),
-                seq,
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            sink.retire(&event);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Fused-tier faulted run. A [`crate::FaultHook`] must observe *every*
-    /// instruction boundary (hooks are stateful — ordinals, one-shot
-    /// arming), and a fused window has no interior boundaries, so the
-    /// faulted run uses the per-op plan loop directly: the hook is
-    /// consulted at exactly the same pre-execution points, and by the
-    /// dispatch-independence invariant the result is identical to what a
-    /// boundary-respecting fused run would produce.
-    pub fn run_fused_faulted(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        hook: &mut dyn crate::FaultHook,
-    ) -> SimResult<RunReport> {
-        self.run_plan_faulted(plan, fuel, hook)
-    }
 }

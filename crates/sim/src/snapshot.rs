@@ -36,7 +36,7 @@ pub struct MachineSnapshot {
     /// Retired-instruction counters.
     pub counters: Counters,
     /// PC at which the last run loop paused with `FuelExhausted` — the
-    /// address `run_plan_from`/`run_legacy_from` resumes at.
+    /// `start_pc` a resumed run passes to `run_plan`/`run_legacy`.
     pub stop_pc: u64,
     /// Dirty memory pages and guard regions.
     pub mem: MemSnapshot,

@@ -1,11 +1,11 @@
 //! Retire-time tracing hooks.
 //!
 //! A [`TraceSink`] observes every architecturally retired instruction of a
-//! [`Machine::run_traced`](crate::Machine::run_traced) run, together with
+//! run driven with the [`Traced`](crate::Traced) observer, together with
 //! the vector configuration it executed under and (for memory operations)
-//! the data footprint it touched. The plain
-//! [`Machine::run`](crate::Machine::run) loop does not know sinks exist —
-//! untraced execution pays nothing for this module.
+//! the data footprint it touched. Both run loops are generic over their
+//! [`Observer`](crate::Observer), and the untraced instantiation compiles
+//! event assembly away — untraced execution pays nothing for this module.
 //!
 //! Sinks are deliberately *aggregating* consumers: the simulator hands each
 //! event by reference and keeps nothing, so a profiler that only bumps
@@ -103,6 +103,26 @@ pub trait TraceSink: std::any::Any {
 }
 
 impl Machine {
+    /// The retire event of `instr` (of class `class`) at byte PC `pc`,
+    /// assembled from the current — pre-execution — state.
+    pub(crate) fn retire_event<'a>(
+        &self,
+        pc: u64,
+        instr: &'a Instr,
+        class: InstrClass,
+        seq: u64,
+    ) -> RetireEvent<'a> {
+        RetireEvent {
+            pc,
+            instr,
+            class,
+            vl: self.vl(),
+            vtype: self.vtype(),
+            mem: self.mem_footprint(instr),
+            seq,
+        }
+    }
+
     /// Pre-execution memory footprint of `instr`, if it is a load or store.
     ///
     /// Computed from architectural state *before* the instruction executes;

@@ -8,7 +8,7 @@
 //! not, for the fallback cases).
 
 use rvv_isa::{AluOp, BranchCond, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
-use rvv_sim::{CompiledPlan, Machine, MachineConfig, Program, RetireEvent, TraceSink};
+use rvv_sim::{CompiledPlan, Machine, MachineConfig, Program, RetireEvent, TraceSink, Traced};
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -56,9 +56,9 @@ fn three_way(p: &Program, fuel: u64, setup: impl Fn(&mut Machine)) -> Machine {
     setup(&mut ml);
     setup(&mut mp);
     setup(&mut mf);
-    let rl = ml.run_legacy(p, fuel);
-    let rp = mp.run_plan(&plan, fuel);
-    let rf = mf.run_fused(&plan, fuel);
+    let rl = ml.run_legacy(p, fuel, 0, &mut ());
+    let rp = mp.run_plan(&plan, fuel, 0, false, &mut ());
+    let rf = mf.run_plan(&plan, fuel, 0, true, &mut ());
     assert_eq!(rp, rl, "plan vs legacy result");
     assert_eq!(rf, rl, "fused vs legacy result");
     ml.mem.clear_guards();
@@ -642,9 +642,9 @@ fn fuel_exhaustion_mid_window_is_exact() {
         seed(&mut ml);
         seed(&mut mp);
         seed(&mut mf);
-        let rl = ml.run_legacy(&p, fuel);
-        let rp = mp.run_plan(&plan, fuel);
-        let rf = mf.run_fused(&plan, fuel);
+        let rl = ml.run_legacy(&p, fuel, 0, &mut ());
+        let rp = mp.run_plan(&plan, fuel, 0, false, &mut ());
+        let rf = mf.run_plan(&plan, fuel, 0, true, &mut ());
         assert_eq!(rp, rl, "plan vs legacy at fuel {fuel}");
         assert_eq!(rf, rl, "fused vs legacy at fuel {fuel}");
         assert_same_state(&mp, &ml);
@@ -689,9 +689,11 @@ fn fused_trace_stream_is_byte_identical_to_plan_and_legacy() {
     let mut tl = Rec::default();
     let mut tp = Rec::default();
     let mut tf = Rec::default();
-    ml.run_legacy_traced(&p, 10_000, &mut tl).unwrap();
-    mp.run_plan_traced(&plan, 10_000, &mut tp).unwrap();
-    mf.run_fused_traced(&plan, 10_000, &mut tf).unwrap();
+    ml.run_legacy(&p, 10_000, 0, &mut Traced(&mut tl)).unwrap();
+    mp.run_plan(&plan, 10_000, 0, false, &mut Traced(&mut tp))
+        .unwrap();
+    mf.run_plan(&plan, 10_000, 0, true, &mut Traced(&mut tf))
+        .unwrap();
     assert!(mf.fused_stats.windows > 0, "traced run must fuse");
     assert_eq!(tp.0, tl.0, "plan vs legacy trace");
     assert_eq!(tf.0, tl.0, "fused vs legacy trace");
@@ -714,25 +716,33 @@ fn fused_resume_from_plan_snapshot_is_exact() {
     };
     let mut whole = machine();
     seed(&mut whole);
-    whole.run_legacy(&p, 100_000).unwrap();
+    whole.run_legacy(&p, 100_000, 0, &mut ()).unwrap();
 
     for pause_fuel in [1u64, 5, 11, 17] {
         let mut m1 = machine();
         seed(&mut m1);
-        assert!(m1.run_plan(&plan, pause_fuel).is_err(), "expect pause");
+        assert!(
+            m1.run_plan(&plan, pause_fuel, 0, false, &mut ()).is_err(),
+            "expect pause"
+        );
         let snap = m1.snapshot();
         let mut m2 = machine();
         m2.restore(&snap);
-        m2.run_fused_from(&plan, 100_000, m2.stop_pc()).unwrap();
+        m2.run_plan(&plan, 100_000, m2.stop_pc(), true, &mut ())
+            .unwrap();
         assert_same_state(&m2, &whole);
         // And the reverse hand-off: fused pause → plan resume.
         let mut m3 = machine();
         seed(&mut m3);
-        assert!(m3.run_fused(&plan, pause_fuel).is_err(), "expect pause");
+        assert!(
+            m3.run_plan(&plan, pause_fuel, 0, true, &mut ()).is_err(),
+            "expect pause"
+        );
         let snap = m3.snapshot();
         let mut m4 = machine();
         m4.restore(&snap);
-        m4.run_plan_from(&plan, 100_000, m4.stop_pc()).unwrap();
+        m4.run_plan(&plan, 100_000, m4.stop_pc(), false, &mut ())
+            .unwrap();
         assert_same_state(&m4, &whole);
     }
 }

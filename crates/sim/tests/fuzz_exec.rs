@@ -119,9 +119,9 @@ proptest! {
             m2.set_xreg(XReg::arg(i as u8), s % (1 << 16));
             m3.set_xreg(XReg::arg(i as u8), s % (1 << 16));
         }
-        let r1 = m1.run_plan(&plan, 50_000);
-        let r2 = m2.run_legacy(&p, 50_000);
-        let r3 = m3.run_fused(&plan, 50_000);
+        let r1 = m1.run_plan(&plan, 50_000, 0, false, &mut ());
+        let r2 = m2.run_legacy(&p, 50_000, 0, &mut ());
+        let r3 = m3.run_plan(&plan, 50_000, 0, true, &mut ());
         prop_assert_eq!(&r1, &r2);
         prop_assert_eq!(&r3, &r2);
         assert_same_state(&m1, &m2);
@@ -156,9 +156,9 @@ proptest! {
         m1.set_xreg(XReg::new(10), avl);
         m2.set_xreg(XReg::new(10), avl);
         m3.set_xreg(XReg::new(10), avl);
-        let r1 = m1.run_plan(&plan, 50_000);
-        let r2 = m2.run_legacy(&p, 50_000);
-        let r3 = m3.run_fused(&plan, 50_000);
+        let r1 = m1.run_plan(&plan, 50_000, 0, false, &mut ());
+        let r2 = m2.run_legacy(&p, 50_000, 0, &mut ());
+        let r3 = m3.run_plan(&plan, 50_000, 0, true, &mut ());
         prop_assert_eq!(&r1, &r2);
         prop_assert_eq!(&r3, &r2);
         assert_same_state(&m1, &m2);

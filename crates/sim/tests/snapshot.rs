@@ -2,13 +2,16 @@
 //! architectural state, restore reproduces it bit for bit, and a run
 //! paused by fuel exhaustion and resumed from `stop_pc` — on either
 //! engine, any number of times — is indistinguishable from an
-//! uninterrupted run (same outputs, same retired counts, same trap text).
+//! uninterrupted run (same outputs, same retired counts, same trap text,
+//! and the same observer callbacks when a trace sink or fault hook rides
+//! along).
 
 use proptest::prelude::*;
-use rvv_isa::{AluOp, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
+use rvv_isa::{AluOp, BranchCond, Instr, InstrClass, Lmul, Sew, VAluOp, VReg, VType, XReg};
 use rvv_sim::{
-    CompiledPlan, Machine, MachineConfig, MachineSnapshot, Memory, Program, SimError, DEFAULT_FUEL,
-    PAGE_BYTES,
+    CompiledPlan, FaultAction, FaultHook, Hooked, Machine, MachineConfig, MachineSnapshot,
+    MemAccess, Memory, Observer, Program, RetireEvent, RunReport, SimError, SimResult, TraceSink,
+    Traced, DEFAULT_FUEL, PAGE_BYTES,
 };
 
 fn machine() -> Machine {
@@ -148,7 +151,7 @@ fn machine_snapshot_serialization_round_trips_and_rejects_corruption() {
     stage(&mut m);
     let plan = CompiledPlan::compile(vector_program());
     assert!(matches!(
-        m.run_plan(&plan, 5),
+        m.run_plan(&plan, 5, 0, false, &mut ()),
         Err(SimError::FuelExhausted { fuel: 5 })
     ));
     let snap = m.snapshot();
@@ -171,16 +174,18 @@ fn pause_restore_resume_matches_uninterrupted_at_every_fuel_on_both_engines() {
 
     let mut reference = machine();
     stage(&mut reference);
-    let full = reference.run_plan(&plan, DEFAULT_FUEL).unwrap();
+    let full = reference
+        .run_plan(&plan, DEFAULT_FUEL, 0, false, &mut ())
+        .unwrap();
 
     for legacy in [false, true] {
         for k in 1..full.retired {
             let mut m = machine();
             stage(&mut m);
             let paused = if legacy {
-                m.run_legacy(&program, k)
+                m.run_legacy(&program, k, 0, &mut ())
             } else {
-                m.run_plan(&plan, k)
+                m.run_plan(&plan, k, 0, false, &mut ())
             };
             assert!(
                 matches!(paused, Err(SimError::FuelExhausted { .. })),
@@ -193,9 +198,9 @@ fn pause_restore_resume_matches_uninterrupted_at_every_fuel_on_both_engines() {
             resumed.restore(&snap);
             assert_eq!(resumed.stop_pc(), snap.stop_pc);
             let rest = if legacy {
-                resumed.run_legacy_from(&program, DEFAULT_FUEL, resumed.stop_pc())
+                resumed.run_legacy(&program, DEFAULT_FUEL, resumed.stop_pc(), &mut ())
             } else {
-                resumed.run_plan_from(&plan, DEFAULT_FUEL, resumed.stop_pc())
+                resumed.run_plan(&plan, DEFAULT_FUEL, resumed.stop_pc(), false, &mut ())
             }
             .unwrap_or_else(|e| panic!("legacy={legacy} k={k}: resume trapped: {e}"));
 
@@ -212,21 +217,25 @@ fn double_interruption_still_matches() {
     let plan = CompiledPlan::compile(program.clone());
     let mut reference = machine();
     stage(&mut reference);
-    let full = reference.run_plan(&plan, DEFAULT_FUEL).unwrap();
+    let full = reference
+        .run_plan(&plan, DEFAULT_FUEL, 0, false, &mut ())
+        .unwrap();
 
     let mut m = machine();
     stage(&mut m);
-    assert!(m.run_plan(&plan, 3).is_err());
+    assert!(m.run_plan(&plan, 3, 0, false, &mut ()).is_err());
     let first = m.snapshot();
 
     let mut m2 = machine();
     m2.restore(&first);
-    assert!(m2.run_plan_from(&plan, 4, m2.stop_pc()).is_err());
+    assert!(m2.run_plan(&plan, 4, m2.stop_pc(), false, &mut ()).is_err());
     let second = m2.snapshot();
 
     let mut m3 = machine();
     m3.restore(&second);
-    let rest = m3.run_plan_from(&plan, DEFAULT_FUEL, m3.stop_pc()).unwrap();
+    let rest = m3
+        .run_plan(&plan, DEFAULT_FUEL, m3.stop_pc(), false, &mut ())
+        .unwrap();
     assert_eq!(3 + 4 + rest.retired, full.retired);
     assert_same_state(&m3, &reference);
 }
@@ -247,28 +256,213 @@ fn pause_on_a_pending_bad_jump_reproduces_the_trap_text() {
     let plan = CompiledPlan::compile(p.clone());
 
     let mut uninterrupted = machine();
-    let want = uninterrupted.run_plan(&plan, 100).unwrap_err();
+    let want = uninterrupted
+        .run_plan(&plan, 100, 0, false, &mut ())
+        .unwrap_err();
 
     for legacy in [false, true] {
         let mut m = machine();
         let paused = if legacy {
-            m.run_legacy(&p, 1)
+            m.run_legacy(&p, 1, 0, &mut ())
         } else {
-            m.run_plan(&plan, 1)
+            m.run_plan(&plan, 1, 0, false, &mut ())
         };
         assert!(matches!(paused, Err(SimError::FuelExhausted { .. })));
         let snap = m.snapshot();
         let mut r = machine();
         r.restore(&snap);
         let got = if legacy {
-            r.run_legacy_from(&p, 100, r.stop_pc())
+            r.run_legacy(&p, 100, r.stop_pc(), &mut ())
         } else {
-            r.run_plan_from(&plan, 100, r.stop_pc())
+            r.run_plan(&plan, 100, r.stop_pc(), false, &mut ())
         }
         .unwrap_err();
         assert_eq!(got, want, "legacy={legacy}");
         assert_eq!(got.to_string(), want.to_string(), "legacy={legacy}");
     }
+}
+
+/// A strip-mined map loop (`vle; vadd.vx; vse` per strip): the fused tier
+/// runs its body as one window, several times per run, so pauses land
+/// before, inside and after fused windows.
+fn strip_program() -> Program {
+    let (n, ptr, step) = (XReg::new(10), XReg::new(11), XReg::new(5));
+    Program::new(
+        "strip",
+        vec![
+            Instr::Vsetvli {
+                rd: step,
+                rs1: n,
+                vtype: VType::new(Sew::E32, Lmul::M2),
+            },
+            Instr::VLoad {
+                eew: Sew::E32,
+                vd: VReg::new(4),
+                rs1: ptr,
+                vm: true,
+            },
+            Instr::VOpVX {
+                op: VAluOp::Add,
+                vd: VReg::new(4),
+                vs2: VReg::new(4),
+                rs1: XReg::new(12),
+                vm: true,
+            },
+            Instr::VStore {
+                eew: Sew::E32,
+                vs3: VReg::new(4),
+                rs1: ptr,
+                vm: true,
+            },
+            Instr::OpImm {
+                op: AluOp::Sll,
+                rd: XReg::new(6),
+                rs1: step,
+                imm: 2,
+            },
+            Instr::Op {
+                op: AluOp::Add,
+                rd: ptr,
+                rs1: ptr,
+                rs2: XReg::new(6),
+            },
+            Instr::Op {
+                op: AluOp::Sub,
+                rd: n,
+                rs1: n,
+                rs2: step,
+            },
+            Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: n,
+                rs2: XReg::ZERO,
+                offset: -28,
+            },
+            Instr::Ecall,
+        ],
+    )
+}
+
+fn stage_strip(m: &mut Machine) {
+    let data: Vec<u32> = (0..20).map(|i| i * 7 + 1).collect();
+    m.mem.write_u32_slice(0x100, &data);
+    m.set_xreg(XReg::new(10), data.len() as u64);
+    m.set_xreg(XReg::new(11), 0x100);
+    m.set_xreg(XReg::new(12), 5);
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tier {
+    Plan,
+    Fused,
+    Legacy,
+}
+
+const TIERS: [Tier; 3] = [Tier::Plan, Tier::Fused, Tier::Legacy];
+
+fn run_on<O: Observer>(
+    m: &mut Machine,
+    tier: Tier,
+    plan: &CompiledPlan,
+    fuel: u64,
+    start_pc: u64,
+    obs: &mut O,
+) -> SimResult<RunReport> {
+    match tier {
+        Tier::Plan => m.run_plan(plan, fuel, start_pc, false, obs),
+        Tier::Fused => m.run_plan(plan, fuel, start_pc, true, obs),
+        Tier::Legacy => m.run_legacy(plan.program(), fuel, start_pc, obs),
+    }
+}
+
+/// Records the `(pc, class, vl, mem)` stream of retire events.
+#[derive(Default)]
+struct Retired(Vec<(u64, InstrClass, u32, Option<MemAccess>)>);
+
+impl TraceSink for Retired {
+    fn retire(&mut self, e: &RetireEvent<'_>) {
+        self.0.push((e.pc, e.class, e.vl, e.mem));
+    }
+}
+
+/// A pass-through fault hook recording every consultation.
+#[derive(Default)]
+struct Consulted(Vec<(u64, Instr, Option<MemAccess>)>);
+
+impl FaultHook for Consulted {
+    fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction {
+        self.0.push((pc, *instr, mem.copied()));
+        FaultAction::Pass
+    }
+}
+
+/// Pause a run on tier `a` by fuel at every `k`, resume from `stop_pc` on
+/// every other tier `b`, and require the callbacks a recorder `R` saw
+/// across both halves, the retired total, the counters and the final
+/// state to equal an uninterrupted run's. `run` launches one half with the
+/// recorder wrapped in its observer.
+fn resume_under_observer<R: Default, T: PartialEq + std::fmt::Debug>(
+    run: impl Fn(&mut Machine, Tier, &CompiledPlan, u64, u64, &mut R) -> SimResult<RunReport>,
+    seen: impl Fn(&R) -> &[T],
+) {
+    let plan = CompiledPlan::compile(strip_program());
+    for a in TIERS {
+        let mut reference = machine();
+        stage_strip(&mut reference);
+        let mut want = R::default();
+        let full = run(&mut reference, a, &plan, DEFAULT_FUEL, 0, &mut want).unwrap();
+        assert_eq!(
+            seen(&want).len() as u64,
+            full.retired,
+            "one callback per retire"
+        );
+        for b in TIERS.into_iter().filter(|&b| b != a) {
+            for k in 1..full.retired {
+                let mut m = machine();
+                stage_strip(&mut m);
+                let mut got = R::default();
+                let paused = run(&mut m, a, &plan, k, 0, &mut got);
+                assert!(
+                    matches!(paused, Err(SimError::FuelExhausted { .. })),
+                    "{a:?}->{b:?} k={k}"
+                );
+                let stop_pc = m.stop_pc();
+                let rest = run(&mut m, b, &plan, DEFAULT_FUEL, stop_pc, &mut got)
+                    .unwrap_or_else(|e| panic!("{a:?}->{b:?} k={k}: resume trapped: {e}"));
+                assert_eq!(k + rest.retired, full.retired, "{a:?}->{b:?} k={k}");
+                assert_eq!(seen(&got), seen(&want), "{a:?}->{b:?} k={k}");
+                assert_eq!(m.counters, reference.counters, "{a:?}->{b:?} k={k}");
+                assert_same_state(&m, &reference);
+            }
+        }
+    }
+}
+
+#[test]
+fn traced_resume_across_tiers_matches_uninterrupted_trace() {
+    let plan = CompiledPlan::compile(strip_program());
+    let mut m = machine();
+    stage_strip(&mut m);
+    let mut sink = Retired::default();
+    m.run_plan(&plan, DEFAULT_FUEL, 0, true, &mut Traced(&mut sink))
+        .unwrap();
+    assert!(m.fused_stats.windows >= 3, "traced fused run must fuse");
+    resume_under_observer(
+        |m, tier, plan, fuel, start_pc, sink: &mut Retired| {
+            run_on(m, tier, plan, fuel, start_pc, &mut Traced(sink))
+        },
+        |sink| &sink.0,
+    );
+}
+
+#[test]
+fn hooked_resume_across_tiers_matches_uninterrupted_consultations() {
+    resume_under_observer(
+        |m, tier, plan, fuel, start_pc, hook: &mut Consulted| {
+            run_on(m, tier, plan, fuel, start_pc, &mut Hooked(hook))
+        },
+        |hook| &hook.0,
+    );
 }
 
 proptest! {
@@ -303,7 +497,7 @@ proptest! {
         ]);
         let save_x10 = m.xreg(XReg::new(10));
         m.set_xreg(XReg::new(10), u64::from(vl));
-        m.run_legacy(&p, 10).unwrap();
+        m.run_legacy(&p, 10, 0, &mut ()).unwrap();
         m.set_xreg(XReg::new(10), save_x10);
         let _ = stop_pc; // stop_pc is run-loop-owned; exercised elsewhere
 
