@@ -11,14 +11,16 @@
 //!   `vsetvli x13, x10, e32, m1, ta, mu`, `lw x5, 8(x11)`);
 //! * branch/jump targets as numeric byte offsets *or* label names.
 //!
-//! The key invariant, property-tested against every generated kernel:
-//! `parse(program.to_string()) == program`.
+//! This module handles only lines, comments and labels. Each instruction is
+//! read by [`rvv_isa::parse_asm`], a walk over the instruction's row in
+//! [`rvv_isa::table`] — the same row `Display`, `encode` and `decode` use —
+//! so the operand count and every operand's syntax and range are checked
+//! there, once per operand format.
+//!
+//! The key invariant, property-tested against every generated kernel and
+//! every table row: `parse(program.to_string()) == program`.
 
-use crate::builder::ProgramBuilder;
-use rvv_isa::{
-    AluOp, BranchCond, Instr, Lmul, MaskOp, MemWidth, Sew, VAluOp, VCmp, VCsr, VRedOp, VReg, VType,
-    XReg,
-};
+use rvv_isa::{encode, parse_asm, Instr};
 use rvv_sim::Program;
 use std::collections::HashMap;
 use std::fmt;
@@ -47,947 +49,69 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// Either a resolved numeric byte offset or a label to resolve.
-enum Target {
-    Offset(i32),
-    Label(String),
-}
-
-enum Stmt {
-    Label(String),
-    Instr(Instr),
-    Branch {
-        cond: BranchCond,
-        rs1: XReg,
-        rs2: XReg,
-        target: Target,
-    },
-    Jal {
-        rd: XReg,
-        target: Target,
-    },
-}
-
-fn parse_xreg(s: &str, line: usize) -> Result<XReg, ParseError> {
-    let n: u8 = s
-        .strip_prefix('x')
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError {
-            line,
-            msg: format!("expected x-register, got `{s}`"),
-        })?;
-    XReg::try_new(n).ok_or(ParseError {
-        line,
-        msg: format!("register {s} out of range"),
-    })
-}
-
-fn parse_vreg(s: &str, line: usize) -> Result<VReg, ParseError> {
-    let n: u8 = s
-        .strip_prefix('v')
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError {
-            line,
-            msg: format!("expected v-register, got `{s}`"),
-        })?;
-    VReg::try_new(n).ok_or(ParseError {
-        line,
-        msg: format!("register {s} out of range"),
-    })
-}
-
-fn parse_int(s: &str, line: usize) -> Result<i64, ParseError> {
-    let (neg, t) = match s.strip_prefix('-') {
-        Some(t) => (true, t),
-        None => (false, s),
-    };
-    let v = if let Some(h) = t.strip_prefix("0x") {
-        i64::from_str_radix(h, 16).ok()
-    } else {
-        t.parse::<i64>().ok()
-    };
-    match v {
-        Some(v) => Ok(if neg { -v } else { v }),
-        None => err(line, format!("expected integer, got `{s}`")),
+/// The PC-relative target of a branch or `jal`.
+fn target_mut(i: &mut Instr) -> Option<&mut i32> {
+    match i {
+        Instr::Branch { offset, .. } | Instr::Jal { offset, .. } => Some(offset),
+        _ => None,
     }
-}
-
-/// `off(xreg)` or `(xreg)`.
-fn parse_mem_operand(s: &str, line: usize) -> Result<(i32, XReg), ParseError> {
-    let open = s.find('(').ok_or_else(|| ParseError {
-        line,
-        msg: format!("expected `offset(reg)`, got `{s}`"),
-    })?;
-    if !s.ends_with(')') {
-        return err(line, format!("expected `offset(reg)`, got `{s}`"));
-    }
-    let off = if open == 0 {
-        0
-    } else {
-        parse_int(&s[..open], line)? as i32
-    };
-    let reg = parse_xreg(&s[open + 1..s.len() - 1], line)?;
-    Ok((off, reg))
-}
-
-fn scalar_alu(m: &str) -> Option<AluOp> {
-    Some(match m {
-        "add" => AluOp::Add,
-        "sub" => AluOp::Sub,
-        "sll" => AluOp::Sll,
-        "slt" => AluOp::Slt,
-        "sltu" => AluOp::Sltu,
-        "xor" => AluOp::Xor,
-        "srl" => AluOp::Srl,
-        "sra" => AluOp::Sra,
-        "or" => AluOp::Or,
-        "and" => AluOp::And,
-        "mul" => AluOp::Mul,
-        "mulh" => AluOp::Mulh,
-        "mulhu" => AluOp::Mulhu,
-        "div" => AluOp::Div,
-        "divu" => AluOp::Divu,
-        "rem" => AluOp::Rem,
-        "remu" => AluOp::Remu,
-        _ => return None,
-    })
-}
-
-fn valu(m: &str) -> Option<VAluOp> {
-    Some(match m {
-        "vadd" => VAluOp::Add,
-        "vsub" => VAluOp::Sub,
-        "vrsub" => VAluOp::Rsub,
-        "vminu" => VAluOp::Minu,
-        "vmin" => VAluOp::Min,
-        "vmaxu" => VAluOp::Maxu,
-        "vmax" => VAluOp::Max,
-        "vand" => VAluOp::And,
-        "vor" => VAluOp::Or,
-        "vxor" => VAluOp::Xor,
-        "vsll" => VAluOp::Sll,
-        "vsrl" => VAluOp::Srl,
-        "vsra" => VAluOp::Sra,
-        "vmul" => VAluOp::Mul,
-        "vmulh" => VAluOp::Mulh,
-        "vmulhu" => VAluOp::Mulhu,
-        "vdivu" => VAluOp::Divu,
-        "vdiv" => VAluOp::Div,
-        "vremu" => VAluOp::Remu,
-        "vrem" => VAluOp::Rem,
-        _ => return None,
-    })
-}
-
-fn vcmp(m: &str) -> Option<VCmp> {
-    Some(match m {
-        "vmseq" => VCmp::Eq,
-        "vmsne" => VCmp::Ne,
-        "vmsltu" => VCmp::Ltu,
-        "vmslt" => VCmp::Lt,
-        "vmsleu" => VCmp::Leu,
-        "vmsle" => VCmp::Le,
-        "vmsgtu" => VCmp::Gtu,
-        "vmsgt" => VCmp::Gt,
-        _ => return None,
-    })
-}
-
-fn mask_op(m: &str) -> Option<MaskOp> {
-    Some(match m {
-        "vmandn.mm" => MaskOp::Andn,
-        "vmand.mm" => MaskOp::And,
-        "vmor.mm" => MaskOp::Or,
-        "vmxor.mm" => MaskOp::Xor,
-        "vmorn.mm" => MaskOp::Orn,
-        "vmnand.mm" => MaskOp::Nand,
-        "vmnor.mm" => MaskOp::Nor,
-        "vmxnor.mm" => MaskOp::Xnor,
-        _ => return None,
-    })
-}
-
-fn vred(m: &str) -> Option<VRedOp> {
-    Some(match m {
-        "vredsum.vs" => VRedOp::Sum,
-        "vredand.vs" => VRedOp::And,
-        "vredor.vs" => VRedOp::Or,
-        "vredxor.vs" => VRedOp::Xor,
-        "vredminu.vs" => VRedOp::Minu,
-        "vredmin.vs" => VRedOp::Min,
-        "vredmaxu.vs" => VRedOp::Maxu,
-        "vredmax.vs" => VRedOp::Max,
-        _ => return None,
-    })
-}
-
-fn mem_sew(digits: &str) -> Option<Sew> {
-    Some(match digits {
-        "8" => Sew::E8,
-        "16" => Sew::E16,
-        "32" => Sew::E32,
-        "64" => Sew::E64,
-        _ => return None,
-    })
-}
-
-fn parse_vtype(ops: &[&str], line: usize) -> Result<VType, ParseError> {
-    if ops.len() != 4 {
-        return err(line, "expected `eN, mN, t?, m?` vtype operands");
-    }
-    let sew = match ops[0] {
-        "e8" => Sew::E8,
-        "e16" => Sew::E16,
-        "e32" => Sew::E32,
-        "e64" => Sew::E64,
-        other => return err(line, format!("bad SEW `{other}`")),
-    };
-    let lmul = match ops[1] {
-        "m1" => Lmul::M1,
-        "m2" => Lmul::M2,
-        "m4" => Lmul::M4,
-        "m8" => Lmul::M8,
-        "mf2" => Lmul::F2,
-        "mf4" => Lmul::F4,
-        "mf8" => Lmul::F8,
-        other => return err(line, format!("bad LMUL `{other}`")),
-    };
-    let ta = match ops[2] {
-        "ta" => true,
-        "tu" => false,
-        other => return err(line, format!("bad tail policy `{other}`")),
-    };
-    let ma = match ops[3] {
-        "ma" => true,
-        "mu" => false,
-        other => return err(line, format!("bad mask policy `{other}`")),
-    };
-    Ok(VType { sew, lmul, ta, ma })
-}
-
-/// Split off a trailing `v0.t` mask operand; returns (operands, vm).
-fn take_mask<'a>(ops: &'a [&'a str]) -> (&'a [&'a str], bool) {
-    match ops.last() {
-        Some(&"v0.t") => (&ops[..ops.len() - 1], false),
-        _ => (ops, true),
-    }
-}
-
-#[allow(clippy::too_many_lines)] // one arm per mnemonic family, table-like
-fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseError> {
-    let x = |i: usize| parse_xreg(ops[i], line);
-    let v = |i: usize| parse_vreg(ops[i], line);
-    let need = |n: usize| -> Result<(), ParseError> {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            err(
-                line,
-                format!("{mnemonic} expects {n} operands, got {}", ops.len()),
-            )
-        }
-    };
-
-    // Scalar register-register / register-immediate ALU.
-    if let Some(op) = scalar_alu(mnemonic) {
-        need(3)?;
-        return Ok(Stmt::Instr(Instr::Op {
-            op,
-            rd: x(0)?,
-            rs1: x(1)?,
-            rs2: x(2)?,
-        }));
-    }
-    if let Some(base) = mnemonic.strip_suffix('i') {
-        if let Some(op) = scalar_alu(base) {
-            if op.has_imm_form() {
-                need(3)?;
-                let imm = parse_int(ops[2], line)? as i32;
-                return Ok(Stmt::Instr(Instr::OpImm {
-                    op,
-                    rd: x(0)?,
-                    rs1: x(1)?,
-                    imm,
-                }));
-            }
-        }
-    }
-    if mnemonic == "sltiu" {
-        need(3)?;
-        let imm = parse_int(ops[2], line)? as i32;
-        return Ok(Stmt::Instr(Instr::OpImm {
-            op: AluOp::Sltu,
-            rd: x(0)?,
-            rs1: x(1)?,
-            imm,
-        }));
-    }
-
-    // Scalar loads/stores.
-    let load = |width, signed| -> Result<Stmt, ParseError> {
-        need(2)?;
-        let (offset, rs1) = parse_mem_operand(ops[1], line)?;
-        Ok(Stmt::Instr(Instr::Load {
-            width,
-            signed,
-            rd: x(0)?,
-            rs1,
-            offset,
-        }))
-    };
-    match mnemonic {
-        "lb" => return load(MemWidth::B, true),
-        "lbu" => return load(MemWidth::B, false),
-        "lh" => return load(MemWidth::H, true),
-        "lhu" => return load(MemWidth::H, false),
-        "lw" => return load(MemWidth::W, true),
-        "lwu" => return load(MemWidth::W, false),
-        "ld" => return load(MemWidth::D, true),
-        _ => {}
-    }
-    let store = |width| -> Result<Stmt, ParseError> {
-        need(2)?;
-        let (offset, rs1) = parse_mem_operand(ops[1], line)?;
-        Ok(Stmt::Instr(Instr::Store {
-            width,
-            rs2: x(0)?,
-            rs1,
-            offset,
-        }))
-    };
-    match mnemonic {
-        "sb" => return store(MemWidth::B),
-        "sh" => return store(MemWidth::H),
-        "sw" => return store(MemWidth::W),
-        "sd" => return store(MemWidth::D),
-        _ => {}
-    }
-
-    // Branches / jumps / system.
-    let branch = |cond| -> Result<Stmt, ParseError> {
-        need(3)?;
-        let target = if ops[2].starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
-            Target::Label(ops[2].to_string())
-        } else {
-            Target::Offset(parse_int(ops[2], line)? as i32)
-        };
-        Ok(Stmt::Branch {
-            cond,
-            rs1: x(0)?,
-            rs2: x(1)?,
-            target,
-        })
-    };
-    match mnemonic {
-        "beq" => return branch(BranchCond::Eq),
-        "bne" => return branch(BranchCond::Ne),
-        "blt" => return branch(BranchCond::Lt),
-        "bge" => return branch(BranchCond::Ge),
-        "bltu" => return branch(BranchCond::Ltu),
-        "bgeu" => return branch(BranchCond::Geu),
-        "jal" => {
-            need(2)?;
-            let target = if ops[1].starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
-                Target::Label(ops[1].to_string())
-            } else {
-                Target::Offset(parse_int(ops[1], line)? as i32)
-            };
-            return Ok(Stmt::Jal { rd: x(0)?, target });
-        }
-        "jalr" => {
-            need(2)?;
-            let (offset, rs1) = parse_mem_operand(ops[1], line)?;
-            return Ok(Stmt::Instr(Instr::Jalr {
-                rd: x(0)?,
-                rs1,
-                offset,
-            }));
-        }
-        "lui" | "auipc" => {
-            need(2)?;
-            let imm20 = parse_int(ops[1], line)? as i32;
-            let rd = x(0)?;
-            return Ok(Stmt::Instr(if mnemonic == "lui" {
-                Instr::Lui { rd, imm20 }
-            } else {
-                Instr::Auipc { rd, imm20 }
-            }));
-        }
-        "ecall" => {
-            need(0)?;
-            return Ok(Stmt::Instr(Instr::Ecall));
-        }
-        "ebreak" => {
-            need(0)?;
-            return Ok(Stmt::Instr(Instr::Ebreak));
-        }
-        "csrr" => {
-            need(2)?;
-            let csr = match ops[1] {
-                "vl" => VCsr::Vl,
-                "vtype" => VCsr::Vtype,
-                "vlenb" => VCsr::Vlenb,
-                other => return err(line, format!("unsupported CSR `{other}`")),
-            };
-            return Ok(Stmt::Instr(Instr::Csrr { rd: x(0)?, csr }));
-        }
-        "vsetvli" => {
-            if ops.len() != 6 {
-                return err(line, "vsetvli expects rd, rs1, e*, m*, t*, m*");
-            }
-            let vtype = parse_vtype(&ops[2..], line)?;
-            return Ok(Stmt::Instr(Instr::Vsetvli {
-                rd: x(0)?,
-                rs1: x(1)?,
-                vtype,
-            }));
-        }
-        "vsetivli" => {
-            if ops.len() != 6 {
-                return err(line, "vsetivli expects rd, uimm, e*, m*, t*, m*");
-            }
-            let uimm = parse_int(ops[1], line)? as u8;
-            let vtype = parse_vtype(&ops[2..], line)?;
-            return Ok(Stmt::Instr(Instr::Vsetivli {
-                rd: x(0)?,
-                uimm,
-                vtype,
-            }));
-        }
-        "vsetvl" => {
-            need(3)?;
-            return Ok(Stmt::Instr(Instr::Vsetvl {
-                rd: x(0)?,
-                rs1: x(1)?,
-                rs2: x(2)?,
-            }));
-        }
-        _ => {}
-    }
-
-    // Vector memory: vle32.v, vse32.v, vlse32.v, vsse32.v, vluxei32.v,
-    // vsuxei32.v, vloxei32.v, vsoxei32.v, vl4re8.v, vs4r.v, vlm.v, vsm.v.
-    if let Some(rest) = mnemonic.strip_suffix(".v") {
-        let (ops_nm, vm) = take_mask(ops);
-        let vmem = |s: &str| mem_sew(s);
-        if let Some(d) = rest.strip_prefix("vle").and_then(vmem) {
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            return Ok(Stmt::Instr(Instr::VLoad {
-                eew: d,
-                vd: v(0)?,
-                rs1,
-                vm,
-            }));
-        }
-        if let Some(d) = rest.strip_prefix("vse").and_then(vmem) {
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            return Ok(Stmt::Instr(Instr::VStore {
-                eew: d,
-                vs3: v(0)?,
-                rs1,
-                vm,
-            }));
-        }
-        if let Some(d) = rest.strip_prefix("vlse").and_then(vmem) {
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            let rs2 = parse_xreg(ops_nm[2], line)?;
-            return Ok(Stmt::Instr(Instr::VLoadStrided {
-                eew: d,
-                vd: v(0)?,
-                rs1,
-                rs2,
-                vm,
-            }));
-        }
-        if let Some(d) = rest.strip_prefix("vsse").and_then(vmem) {
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            let rs2 = parse_xreg(ops_nm[2], line)?;
-            return Ok(Stmt::Instr(Instr::VStoreStrided {
-                eew: d,
-                vs3: v(0)?,
-                rs1,
-                rs2,
-                vm,
-            }));
-        }
-        for (prefix, is_load, ordered) in [
-            ("vluxei", true, false),
-            ("vloxei", true, true),
-            ("vsuxei", false, false),
-            ("vsoxei", false, true),
-        ] {
-            if let Some(d) = rest.strip_prefix(prefix).and_then(vmem) {
-                let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-                let vs2 = parse_vreg(ops_nm[2], line)?;
-                return Ok(Stmt::Instr(if is_load {
-                    Instr::VLoadIndexed {
-                        eew: d,
-                        ordered,
-                        vd: v(0)?,
-                        rs1,
-                        vs2,
-                        vm,
-                    }
-                } else {
-                    Instr::VStoreIndexed {
-                        eew: d,
-                        ordered,
-                        vs3: v(0)?,
-                        rs1,
-                        vs2,
-                        vm,
-                    }
-                }));
-            }
-        }
-        if let Some(n) = rest.strip_prefix("vl").and_then(|t| t.strip_suffix("re8")) {
-            let nregs: u8 = n.parse().map_err(|_| ParseError {
-                line,
-                msg: format!("bad whole-register count in `{mnemonic}`"),
-            })?;
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            return Ok(Stmt::Instr(Instr::VLoadWhole {
-                nregs,
-                vd: v(0)?,
-                rs1,
-            }));
-        }
-        if let Some(n) = rest.strip_prefix("vs").and_then(|t| t.strip_suffix('r')) {
-            if let Ok(nregs) = n.parse::<u8>() {
-                let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-                return Ok(Stmt::Instr(Instr::VStoreWhole {
-                    nregs,
-                    vs3: v(0)?,
-                    rs1,
-                }));
-            }
-        }
-        if rest == "vlm" {
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            return Ok(Stmt::Instr(Instr::VLoadMask { vd: v(0)?, rs1 }));
-        }
-        if rest == "vsm" {
-            let (_, rs1) = parse_mem_operand(ops_nm[1], line)?;
-            return Ok(Stmt::Instr(Instr::VStoreMask { vs3: v(0)?, rs1 }));
-        }
-        if rest == "vid" {
-            return Ok(Stmt::Instr(Instr::VId { vd: v(0)?, vm }));
-        }
-    }
-
-    // Vector arithmetic and friends: split `name.suffix`.
-    if let Some((name, suffix)) = mnemonic.rsplit_once('.') {
-        let (ops_nm, vm) = take_mask(ops);
-        let imm = |i: usize| parse_int(ops_nm[i], line).map(|x| x as i8);
-        match (valu(name), suffix) {
-            (Some(op), "vv") => {
-                return Ok(Stmt::Instr(Instr::VOpVV {
-                    op,
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vs1: parse_vreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            (Some(op), "vx") => {
-                return Ok(Stmt::Instr(Instr::VOpVX {
-                    op,
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            (Some(op), "vi") => {
-                return Ok(Stmt::Instr(Instr::VOpVI {
-                    op,
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    imm: imm(2)?,
-                    vm,
-                }))
-            }
-            _ => {}
-        }
-        match (vcmp(name), suffix) {
-            (Some(cond), "vv") => {
-                return Ok(Stmt::Instr(Instr::VCmpVV {
-                    cond,
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vs1: parse_vreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            (Some(cond), "vx") => {
-                return Ok(Stmt::Instr(Instr::VCmpVX {
-                    cond,
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            (Some(cond), "vi") => {
-                return Ok(Stmt::Instr(Instr::VCmpVI {
-                    cond,
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    imm: imm(2)?,
-                    vm,
-                }))
-            }
-            _ => {}
-        }
-        match mnemonic {
-            "vmerge.vvm" => {
-                return Ok(Stmt::Instr(Instr::VMergeVVM {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vs1: v(2)?,
-                }))
-            }
-            "vmerge.vxm" => {
-                return Ok(Stmt::Instr(Instr::VMergeVXM {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: x(2)?,
-                }))
-            }
-            "vmerge.vim" => {
-                return Ok(Stmt::Instr(Instr::VMergeVIM {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    imm: imm(2)?,
-                }))
-            }
-            "vmv.v.v" => {
-                return Ok(Stmt::Instr(Instr::VMvVV {
-                    vd: v(0)?,
-                    vs1: v(1)?,
-                }))
-            }
-            "vmv.v.x" => {
-                return Ok(Stmt::Instr(Instr::VMvVX {
-                    vd: v(0)?,
-                    rs1: x(1)?,
-                }))
-            }
-            "vmv.v.i" => {
-                return Ok(Stmt::Instr(Instr::VMvVI {
-                    vd: v(0)?,
-                    imm: imm(1)?,
-                }))
-            }
-            "vmv.s.x" => {
-                return Ok(Stmt::Instr(Instr::VMvSX {
-                    vd: v(0)?,
-                    rs1: x(1)?,
-                }))
-            }
-            "vmv.x.s" => {
-                return Ok(Stmt::Instr(Instr::VMvXS {
-                    rd: x(0)?,
-                    vs2: v(1)?,
-                }))
-            }
-            "vslideup.vx" => {
-                return Ok(Stmt::Instr(Instr::VSlideUpVX {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            "vslideup.vi" => {
-                return Ok(Stmt::Instr(Instr::VSlideUpVI {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    uimm: imm(2)? as u8,
-                    vm,
-                }))
-            }
-            "vslidedown.vx" => {
-                return Ok(Stmt::Instr(Instr::VSlideDownVX {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            "vslidedown.vi" => {
-                return Ok(Stmt::Instr(Instr::VSlideDownVI {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    uimm: imm(2)? as u8,
-                    vm,
-                }))
-            }
-            "vslide1up.vx" => {
-                return Ok(Stmt::Instr(Instr::VSlide1Up {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            "vslide1down.vx" => {
-                return Ok(Stmt::Instr(Instr::VSlide1Down {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            "vrgather.vv" => {
-                return Ok(Stmt::Instr(Instr::VRGatherVV {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vs1: parse_vreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            "vrgather.vx" => {
-                return Ok(Stmt::Instr(Instr::VRGatherVX {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    rs1: parse_xreg(ops_nm[2], line)?,
-                    vm,
-                }))
-            }
-            "vcompress.vm" => {
-                return Ok(Stmt::Instr(Instr::VCompress {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vs1: v(2)?,
-                }))
-            }
-            "viota.m" => {
-                return Ok(Stmt::Instr(Instr::VIota {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vm,
-                }))
-            }
-            "vcpop.m" => {
-                return Ok(Stmt::Instr(Instr::VCpop {
-                    rd: x(0)?,
-                    vs2: v(1)?,
-                    vm,
-                }))
-            }
-            "vfirst.m" => {
-                return Ok(Stmt::Instr(Instr::VFirst {
-                    rd: x(0)?,
-                    vs2: v(1)?,
-                    vm,
-                }))
-            }
-            "vmsbf.m" => {
-                return Ok(Stmt::Instr(Instr::VMsbf {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vm,
-                }))
-            }
-            "vmsif.m" => {
-                return Ok(Stmt::Instr(Instr::VMsif {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vm,
-                }))
-            }
-            "vmsof.m" => {
-                return Ok(Stmt::Instr(Instr::VMsof {
-                    vd: v(0)?,
-                    vs2: v(1)?,
-                    vm,
-                }))
-            }
-            _ => {}
-        }
-        if let Some(op) = mask_op(mnemonic) {
-            return Ok(Stmt::Instr(Instr::VMaskLogic {
-                op,
-                vd: v(0)?,
-                vs2: v(1)?,
-                vs1: v(2)?,
-            }));
-        }
-        if let Some(op) = vred(mnemonic) {
-            return Ok(Stmt::Instr(Instr::VRed {
-                op,
-                vd: v(0)?,
-                vs2: v(1)?,
-                vs1: parse_vreg(ops_nm[2], line)?,
-                vm,
-            }));
-        }
-    }
-
-    err(line, format!("unknown mnemonic `{mnemonic}`"))
 }
 
 /// Parse an assembly listing into a program.
 pub fn parse_program(name: impl Into<String>, source: &str) -> Result<Program, ParseError> {
-    let mut stmts: Vec<(usize, Stmt)> = Vec::new();
+    let mut labels: HashMap<&str, usize> = HashMap::new();
+    // (line, instruction, label its target names)
+    let mut parsed: Vec<(usize, Instr, Option<&str>)> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let line = idx + 1;
         let text = raw.split('#').next().unwrap_or("");
         let text = text.split("//").next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
         let mut rest = text;
         // Leading labels (and disassembler addresses like `1c:`): any
         // leading whitespace-delimited token ending in ':' is one.
-        loop {
-            let first = rest.split_whitespace().next().unwrap_or("");
+        while let Some(first) = rest.split_whitespace().next() {
             let Some(head) = first.strip_suffix(':') else {
                 break;
             };
             let is_addr = !head.is_empty() && head.chars().all(|c| c.is_ascii_hexdigit());
-            if !is_addr {
-                stmts.push((line, Stmt::Label(head.to_string())));
+            if !is_addr && labels.insert(head, parsed.len()).is_some() {
+                return err(line, format!("label `{head}` defined twice"));
             }
             rest = rest[first.len()..].trim_start();
-            if rest.is_empty() {
-                break;
-            }
         }
         if rest.is_empty() {
             continue;
         }
-        let (mnemonic, operand_text) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-        let ops: Vec<&str> = operand_text
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        stmts.push((line, parse_instr(mnemonic, &ops, line)?));
+        let (instr, label) = parse_asm(rest).map_err(|msg| ParseError { line, msg })?;
+        parsed.push((line, instr, label));
     }
 
-    // First pass: label addresses.
-    let mut labels: HashMap<String, usize> = HashMap::new();
-    let mut pc = 0usize;
-    for (line, s) in &stmts {
-        match s {
-            Stmt::Label(l) => {
-                if labels.insert(l.clone(), pc).is_some() {
-                    return err(*line, format!("label `{l}` defined twice"));
+    let len = parsed.len() as i64;
+    let mut instrs = Vec::with_capacity(parsed.len());
+    for (at, (line, mut instr, label)) in parsed.into_iter().enumerate() {
+        let at = at as i64;
+        if let Some(offset) = target_mut(&mut instr) {
+            match label {
+                Some(l) => {
+                    let Some(&to) = labels.get(l) else {
+                        return err(line, format!("unknown label `{l}`"));
+                    };
+                    // An offset beyond i32 is beyond every branch's range too.
+                    *offset = i32::try_from((to as i64 - at) * 4).unwrap_or(i32::MIN);
+                    if let Err(e) = encode(&instr) {
+                        return err(line, format!("branch to `{l}`: {e}"));
+                    }
                 }
+                None if !(0..=len).contains(&(at + i64::from(*offset) / 4)) || *offset % 4 != 0 => {
+                    return err(
+                        line,
+                        format!("branch offset {offset} lands outside the program"),
+                    );
+                }
+                None => {}
             }
-            _ => pc += 1,
         }
+        instrs.push(instr);
     }
-
-    // Second pass: emit through the builder (reusing its offset checks).
-    let mut b = ProgramBuilder::new(name);
-    let mut bound: HashMap<String, crate::builder::Label> = HashMap::new();
-    // Pre-create builder labels for every defined label.
-    for l in labels.keys() {
-        let lbl = b.label();
-        bound.insert(l.clone(), lbl);
-    }
-    let resolve_offset = |line: usize, at: usize, off: i32| -> Result<usize, ParseError> {
-        let target = at as i64 * 4 + off as i64;
-        if target < 0 || target % 4 != 0 {
-            return err(
-                line,
-                format!("branch offset {off} lands outside the program"),
-            );
-        }
-        Ok((target / 4) as usize)
-    };
-    // Numeric-offset targets need synthetic labels at their landing index.
-    let mut synthetic: HashMap<usize, crate::builder::Label> = HashMap::new();
-    let mut at = 0usize;
-    for (line, s) in &stmts {
-        match s {
-            Stmt::Label(_) => {}
-            Stmt::Branch {
-                target: Target::Offset(off),
-                ..
-            }
-            | Stmt::Jal {
-                target: Target::Offset(off),
-                ..
-            } => {
-                let idx = resolve_offset(*line, at, *off)?;
-                synthetic.entry(idx).or_insert_with(|| b.label());
-                at += 1;
-            }
-            _ => at += 1,
-        }
-    }
-
-    let mut at = 0usize;
-    let mut bound_synthetic: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    for (line, s) in &stmts {
-        if let Some(lbl) = synthetic.get(&at) {
-            if !matches!(s, Stmt::Label(_)) && bound_synthetic.insert(at) {
-                b.bind(*lbl);
-            }
-        }
-        match s {
-            Stmt::Label(l) => {
-                b.bind(bound[l]);
-                continue;
-            }
-            Stmt::Instr(i) => {
-                b.raw(*i);
-            }
-            Stmt::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                let lbl = match target {
-                    Target::Label(l) => *bound.get(l).ok_or_else(|| ParseError {
-                        line: *line,
-                        msg: format!("unknown label `{l}`"),
-                    })?,
-                    Target::Offset(off) => synthetic
-                        .get(&resolve_offset(*line, at, *off)?)
-                        .copied()
-                        .unwrap_or_else(|| panic!("synthetic label missing")),
-                };
-                b.branch(*cond, *rs1, *rs2, lbl);
-            }
-            Stmt::Jal { rd, target } => {
-                let lbl = match target {
-                    Target::Label(l) => *bound.get(l).ok_or_else(|| ParseError {
-                        line: *line,
-                        msg: format!("unknown label `{l}`"),
-                    })?,
-                    Target::Offset(off) => synthetic
-                        .get(&resolve_offset(*line, at, *off)?)
-                        .copied()
-                        .unwrap_or_else(|| panic!("synthetic label missing")),
-                };
-                b.call(*rd, lbl);
-            }
-        }
-        at += 1;
-    }
-    // Bind any forward synthetic labels that land exactly at the end.
-    for (idx, lbl) in synthetic {
-        if bound_synthetic.contains(&idx) {
-            continue;
-        }
-        if idx == at {
-            b.bind(lbl);
-        } else {
-            return Err(ParseError {
-                line: 0,
-                msg: format!("branch target at instruction {idx} does not exist"),
-            });
-        }
-    }
-
-    b.finish().map_err(|e| ParseError {
-        line: 0,
-        msg: e.to_string(),
-    })
+    Ok(Program::new(name, instrs))
 }

@@ -76,17 +76,6 @@ impl Sew {
         }
     }
 
-    /// Decode the vector memory `width` field.
-    pub const fn from_mem_width_bits(bits: u32) -> Option<Sew> {
-        match bits {
-            0b000 => Some(Sew::E8),
-            0b101 => Some(Sew::E16),
-            0b110 => Some(Sew::E32),
-            0b111 => Some(Sew::E64),
-            _ => None,
-        }
-    }
-
     /// Maximum value representable in an element of this width.
     #[inline]
     pub const fn max_value(self) -> u64 {

@@ -1,11 +1,12 @@
 //! 32-bit binary instruction decoding — the inverse of [`crate::encode`].
 //!
 //! `decode(encode(i)) == i` for every encodable instruction `i` (with the
-//! single normalization that `ld` is always decoded with `signed = true`);
-//! this is property-tested in `tests/roundtrip.rs`.
+//! single normalization that `ld` is always decoded with `signed = true`),
+//! and `encode(decode(w)) == w` for every word that decodes; both are
+//! property-tested in `tests/roundtrip.rs`.
 
-use crate::instr::{AluOp, BranchCond, Instr, MaskOp, MemWidth, VAluOp, VCmp, VRedOp};
-use crate::{Sew, VReg, VType, XReg};
+use crate::instr::Instr;
+use crate::table::{self, Operands};
 use core::fmt;
 
 /// Error produced when a 32-bit word is not a recognizable instruction of
@@ -26,842 +27,34 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn err(word: u32, reason: &'static str) -> DecodeError {
-    DecodeError { word, reason }
-}
-
-fn rd(w: u32) -> XReg {
-    XReg::new(((w >> 7) & 0x1f) as u8)
-}
-fn rs1(w: u32) -> XReg {
-    XReg::new(((w >> 15) & 0x1f) as u8)
-}
-fn rs2(w: u32) -> XReg {
-    XReg::new(((w >> 20) & 0x1f) as u8)
-}
-fn vd(w: u32) -> VReg {
-    VReg::new(((w >> 7) & 0x1f) as u8)
-}
-fn vs1(w: u32) -> VReg {
-    VReg::new(((w >> 15) & 0x1f) as u8)
-}
-fn vs2(w: u32) -> VReg {
-    VReg::new(((w >> 20) & 0x1f) as u8)
-}
-fn funct3(w: u32) -> u32 {
-    (w >> 12) & 0x7
-}
-fn funct7(w: u32) -> u32 {
-    w >> 25
-}
-fn funct6(w: u32) -> u32 {
-    w >> 26
-}
-fn vm_bit(w: u32) -> bool {
-    (w >> 25) & 1 == 1
-}
-
-fn imm_i(w: u32) -> i32 {
-    (w as i32) >> 20
-}
-
-fn imm_s(w: u32) -> i32 {
-    (((w as i32) >> 25) << 5) | (((w >> 7) & 0x1f) as i32)
-}
-
-fn imm_b(w: u32) -> i32 {
-    let imm12 = (w >> 31) & 1;
-    let imm11 = (w >> 7) & 1;
-    let imm10_5 = (w >> 25) & 0x3f;
-    let imm4_1 = (w >> 8) & 0xf;
-    let v = (imm12 << 12) | (imm11 << 11) | (imm10_5 << 5) | (imm4_1 << 1);
-    ((v << 19) as i32) >> 19
-}
-
-fn imm_j(w: u32) -> i32 {
-    let imm20 = (w >> 31) & 1;
-    let imm19_12 = (w >> 12) & 0xff;
-    let imm11 = (w >> 20) & 1;
-    let imm10_1 = (w >> 21) & 0x3ff;
-    let v = (imm20 << 20) | (imm19_12 << 12) | (imm11 << 11) | (imm10_1 << 1);
-    ((v << 11) as i32) >> 11
-}
-
-fn simm5(w: u32) -> i8 {
-    let v = ((w >> 15) & 0x1f) as i8;
-    (v << 3) >> 3
-}
-
-fn uimm5(w: u32) -> u8 {
-    ((w >> 15) & 0x1f) as u8
-}
-
-fn opi_alu_from_funct6(f6: u32) -> Option<VAluOp> {
-    Some(match f6 {
-        0b000000 => VAluOp::Add,
-        0b000010 => VAluOp::Sub,
-        0b000011 => VAluOp::Rsub,
-        0b000100 => VAluOp::Minu,
-        0b000101 => VAluOp::Min,
-        0b000110 => VAluOp::Maxu,
-        0b000111 => VAluOp::Max,
-        0b001001 => VAluOp::And,
-        0b001010 => VAluOp::Or,
-        0b001011 => VAluOp::Xor,
-        0b100101 => VAluOp::Sll,
-        0b101000 => VAluOp::Srl,
-        0b101001 => VAluOp::Sra,
-        _ => return None,
-    })
-}
-
-fn opm_alu_from_funct6(f6: u32) -> Option<VAluOp> {
-    Some(match f6 {
-        0b100000 => VAluOp::Divu,
-        0b100001 => VAluOp::Div,
-        0b100010 => VAluOp::Remu,
-        0b100011 => VAluOp::Rem,
-        0b100100 => VAluOp::Mulhu,
-        0b100101 => VAluOp::Mul,
-        0b100111 => VAluOp::Mulh,
-        _ => return None,
-    })
-}
-
-fn cmp_from_funct6(f6: u32) -> Option<VCmp> {
-    Some(match f6 {
-        0b011000 => VCmp::Eq,
-        0b011001 => VCmp::Ne,
-        0b011010 => VCmp::Ltu,
-        0b011011 => VCmp::Lt,
-        0b011100 => VCmp::Leu,
-        0b011101 => VCmp::Le,
-        0b011110 => VCmp::Gtu,
-        0b011111 => VCmp::Gt,
-        _ => return None,
-    })
-}
-
-fn mask_from_funct6(f6: u32) -> Option<MaskOp> {
-    Some(match f6 {
-        0b011000 => MaskOp::Andn,
-        0b011001 => MaskOp::And,
-        0b011010 => MaskOp::Or,
-        0b011011 => MaskOp::Xor,
-        0b011100 => MaskOp::Orn,
-        0b011101 => MaskOp::Nand,
-        0b011110 => MaskOp::Nor,
-        0b011111 => MaskOp::Xnor,
-        _ => return None,
-    })
-}
-
-fn red_from_funct6(f6: u32) -> Option<VRedOp> {
-    Some(match f6 {
-        0b000000 => VRedOp::Sum,
-        0b000001 => VRedOp::And,
-        0b000010 => VRedOp::Or,
-        0b000011 => VRedOp::Xor,
-        0b000100 => VRedOp::Minu,
-        0b000101 => VRedOp::Min,
-        0b000110 => VRedOp::Maxu,
-        0b000111 => VRedOp::Max,
-        _ => return None,
-    })
-}
-
-fn decode_op(w: u32) -> Result<Instr, DecodeError> {
-    let f3 = funct3(w);
-    let f7 = funct7(w);
-    let op = match (f7, f3) {
-        (0b0000000, 0b000) => AluOp::Add,
-        (0b0100000, 0b000) => AluOp::Sub,
-        (0b0000000, 0b001) => AluOp::Sll,
-        (0b0000000, 0b010) => AluOp::Slt,
-        (0b0000000, 0b011) => AluOp::Sltu,
-        (0b0000000, 0b100) => AluOp::Xor,
-        (0b0000000, 0b101) => AluOp::Srl,
-        (0b0100000, 0b101) => AluOp::Sra,
-        (0b0000000, 0b110) => AluOp::Or,
-        (0b0000000, 0b111) => AluOp::And,
-        (0b0000001, 0b000) => AluOp::Mul,
-        (0b0000001, 0b001) => AluOp::Mulh,
-        (0b0000001, 0b011) => AluOp::Mulhu,
-        (0b0000001, 0b100) => AluOp::Div,
-        (0b0000001, 0b101) => AluOp::Divu,
-        (0b0000001, 0b110) => AluOp::Rem,
-        (0b0000001, 0b111) => AluOp::Remu,
-        _ => return Err(err(w, "unknown OP funct7/funct3")),
-    };
-    Ok(Instr::Op {
-        op,
-        rd: rd(w),
-        rs1: rs1(w),
-        rs2: rs2(w),
-    })
-}
-
-fn decode_op_imm(w: u32) -> Result<Instr, DecodeError> {
-    let f3 = funct3(w);
-    match f3 {
-        0b000 => Ok(Instr::OpImm {
-            op: AluOp::Add,
-            rd: rd(w),
-            rs1: rs1(w),
-            imm: imm_i(w),
-        }),
-        0b010 => Ok(Instr::OpImm {
-            op: AluOp::Slt,
-            rd: rd(w),
-            rs1: rs1(w),
-            imm: imm_i(w),
-        }),
-        0b011 => Ok(Instr::OpImm {
-            op: AluOp::Sltu,
-            rd: rd(w),
-            rs1: rs1(w),
-            imm: imm_i(w),
-        }),
-        0b100 => Ok(Instr::OpImm {
-            op: AluOp::Xor,
-            rd: rd(w),
-            rs1: rs1(w),
-            imm: imm_i(w),
-        }),
-        0b110 => Ok(Instr::OpImm {
-            op: AluOp::Or,
-            rd: rd(w),
-            rs1: rs1(w),
-            imm: imm_i(w),
-        }),
-        0b111 => Ok(Instr::OpImm {
-            op: AluOp::And,
-            rd: rd(w),
-            rs1: rs1(w),
-            imm: imm_i(w),
-        }),
-        0b001 => {
-            if w >> 26 != 0 {
-                return Err(err(w, "bad slli funct6"));
-            }
-            let shamt = ((w >> 20) & 0x3f) as i32;
-            Ok(Instr::OpImm {
-                op: AluOp::Sll,
-                rd: rd(w),
-                rs1: rs1(w),
-                imm: shamt,
-            })
-        }
-        0b101 => {
-            let shamt = ((w >> 20) & 0x3f) as i32;
-            match w >> 26 {
-                0b000000 => Ok(Instr::OpImm {
-                    op: AluOp::Srl,
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    imm: shamt,
-                }),
-                0b010000 => Ok(Instr::OpImm {
-                    op: AluOp::Sra,
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    imm: shamt,
-                }),
-                _ => Err(err(w, "bad srli/srai funct6")),
-            }
-        }
-        _ => Err(err(w, "unknown OP-IMM funct3")),
-    }
-}
-
-fn decode_load(w: u32) -> Result<Instr, DecodeError> {
-    let (width, signed) = match funct3(w) {
-        0b000 => (MemWidth::B, true),
-        0b001 => (MemWidth::H, true),
-        0b010 => (MemWidth::W, true),
-        0b011 => (MemWidth::D, true),
-        0b100 => (MemWidth::B, false),
-        0b101 => (MemWidth::H, false),
-        0b110 => (MemWidth::W, false),
-        _ => return Err(err(w, "unknown LOAD funct3")),
-    };
-    Ok(Instr::Load {
-        width,
-        signed,
-        rd: rd(w),
-        rs1: rs1(w),
-        offset: imm_i(w),
-    })
-}
-
-fn decode_store(w: u32) -> Result<Instr, DecodeError> {
-    let width = match funct3(w) {
-        0b000 => MemWidth::B,
-        0b001 => MemWidth::H,
-        0b010 => MemWidth::W,
-        0b011 => MemWidth::D,
-        _ => return Err(err(w, "unknown STORE funct3")),
-    };
-    Ok(Instr::Store {
-        width,
-        rs2: rs2(w),
-        rs1: rs1(w),
-        offset: imm_s(w),
-    })
-}
-
-fn decode_branch(w: u32) -> Result<Instr, DecodeError> {
-    let cond = match funct3(w) {
-        0b000 => BranchCond::Eq,
-        0b001 => BranchCond::Ne,
-        0b100 => BranchCond::Lt,
-        0b101 => BranchCond::Ge,
-        0b110 => BranchCond::Ltu,
-        0b111 => BranchCond::Geu,
-        _ => return Err(err(w, "unknown BRANCH funct3")),
-    };
-    Ok(Instr::Branch {
-        cond,
-        rs1: rs1(w),
-        rs2: rs2(w),
-        offset: imm_b(w),
-    })
-}
-
-fn decode_vmem(w: u32, is_store: bool) -> Result<Instr, DecodeError> {
-    let nf = w >> 29;
-    let mew = (w >> 28) & 1;
-    let mop = (w >> 26) & 0b11;
-    let vm = vm_bit(w);
-    let field = (w >> 20) & 0x1f;
-    let width = funct3(w);
-    if mew != 0 {
-        return Err(err(w, "mew=1 (EEW>64) unsupported"));
-    }
-    // nf != 0 outside whole-register ops means a segment load/store, which
-    // the model does not support.
-    if nf != 0 && !(mop == 0b00 && field == 0b01000) {
-        return Err(err(w, "segment loads/stores unsupported"));
-    }
-    let eew = Sew::from_mem_width_bits(width).ok_or(err(w, "unsupported vector mem width"))?;
-    match mop {
-        0b00 => match field {
-            0b00000 => Ok(if is_store {
-                Instr::VStore {
-                    eew,
-                    vs3: vd(w),
-                    rs1: rs1(w),
-                    vm,
-                }
-            } else {
-                Instr::VLoad {
-                    eew,
-                    vd: vd(w),
-                    rs1: rs1(w),
-                    vm,
-                }
-            }),
-            0b01000 => {
-                if !vm {
-                    return Err(err(w, "whole-register ops must have vm=1"));
-                }
-                let nregs = match nf {
-                    0 => 1,
-                    1 => 2,
-                    3 => 4,
-                    7 => 8,
-                    _ => return Err(err(w, "bad whole-register nf")),
-                };
-                if eew != Sew::E8 {
-                    return Err(err(w, "whole-register ops modelled at EEW=8 only"));
-                }
-                Ok(if is_store {
-                    Instr::VStoreWhole {
-                        nregs,
-                        vs3: vd(w),
-                        rs1: rs1(w),
-                    }
-                } else {
-                    Instr::VLoadWhole {
-                        nregs,
-                        vd: vd(w),
-                        rs1: rs1(w),
-                    }
-                })
-            }
-            0b01011 => {
-                if !vm {
-                    return Err(err(w, "vlm/vsm must have vm=1"));
-                }
-                if eew != Sew::E8 {
-                    return Err(err(w, "vlm/vsm must have width e8"));
-                }
-                Ok(if is_store {
-                    Instr::VStoreMask {
-                        vs3: vd(w),
-                        rs1: rs1(w),
-                    }
-                } else {
-                    Instr::VLoadMask {
-                        vd: vd(w),
-                        rs1: rs1(w),
-                    }
-                })
-            }
-            _ => Err(err(w, "unsupported lumop/sumop")),
-        },
-        0b10 => Ok(if is_store {
-            Instr::VStoreStrided {
-                eew,
-                vs3: vd(w),
-                rs1: rs1(w),
-                rs2: rs2(w),
-                vm,
-            }
-        } else {
-            Instr::VLoadStrided {
-                eew,
-                vd: vd(w),
-                rs1: rs1(w),
-                rs2: rs2(w),
-                vm,
-            }
-        }),
-        0b01 | 0b11 => {
-            let ordered = mop == 0b11;
-            Ok(if is_store {
-                Instr::VStoreIndexed {
-                    eew,
-                    ordered,
-                    vs3: vd(w),
-                    rs1: rs1(w),
-                    vs2: vs2(w),
-                    vm,
-                }
-            } else {
-                Instr::VLoadIndexed {
-                    eew,
-                    ordered,
-                    vd: vd(w),
-                    rs1: rs1(w),
-                    vs2: vs2(w),
-                    vm,
-                }
-            })
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn decode_vsetvl(w: u32) -> Result<Instr, DecodeError> {
-    if (w >> 30) & 0b11 == 0b11 {
-        let zimm = ((w >> 20) & 0x3ff) as u64;
-        let vtype = VType::from_bits(zimm).ok_or(err(w, "vill vtype in vsetivli"))?;
-        return Ok(Instr::Vsetivli {
-            rd: rd(w),
-            uimm: uimm5(w),
-            vtype,
-        });
-    }
-    if w >> 31 == 1 {
-        if (w >> 25) & 0x3f != 0 {
-            return Err(err(w, "bad vsetvl funct7"));
-        }
-        return Ok(Instr::Vsetvl {
-            rd: rd(w),
-            rs1: rs1(w),
-            rs2: rs2(w),
-        });
-    }
-    let zimm = ((w >> 20) & 0x7ff) as u64;
-    let vtype = VType::from_bits(zimm).ok_or(err(w, "vill vtype in vsetvli"))?;
-    Ok(Instr::Vsetvli {
-        rd: rd(w),
-        rs1: rs1(w),
-        vtype,
-    })
-}
-
-fn decode_op_v(w: u32) -> Result<Instr, DecodeError> {
-    let f3 = funct3(w);
-    let f6 = funct6(w);
-    let vm = vm_bit(w);
-    match f3 {
-        0b111 => decode_vsetvl(w),
-        0b000 => {
-            // OPIVV
-            if let Some(op) = opi_alu_from_funct6(f6) {
-                if !op.has_vv() {
-                    return Err(err(w, "nonexistent .vv form"));
-                }
-                return Ok(Instr::VOpVV {
-                    op,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    vs1: vs1(w),
-                    vm,
-                });
-            }
-            if let Some(cond) = cmp_from_funct6(f6) {
-                if !cond.has_vv() {
-                    return Err(err(w, "nonexistent compare .vv form"));
-                }
-                return Ok(Instr::VCmpVV {
-                    cond,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    vs1: vs1(w),
-                    vm,
-                });
-            }
-            match f6 {
-                0b001100 => Ok(Instr::VRGatherVV {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    vs1: vs1(w),
-                    vm,
-                }),
-                0b010111 => {
-                    if vm {
-                        if vs2(w).num() != 0 {
-                            return Err(err(w, "vmv.v.v requires vs2=0"));
-                        }
-                        Ok(Instr::VMvVV {
-                            vd: vd(w),
-                            vs1: vs1(w),
-                        })
-                    } else {
-                        Ok(Instr::VMergeVVM {
-                            vd: vd(w),
-                            vs2: vs2(w),
-                            vs1: vs1(w),
-                        })
-                    }
-                }
-                _ => Err(err(w, "unknown OPIVV funct6")),
-            }
-        }
-        0b100 => {
-            // OPIVX
-            if let Some(op) = opi_alu_from_funct6(f6) {
-                return Ok(Instr::VOpVX {
-                    op,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                });
-            }
-            if let Some(cond) = cmp_from_funct6(f6) {
-                return Ok(Instr::VCmpVX {
-                    cond,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                });
-            }
-            match f6 {
-                0b001100 => Ok(Instr::VRGatherVX {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                }),
-                0b001110 => Ok(Instr::VSlideUpVX {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                }),
-                0b001111 => Ok(Instr::VSlideDownVX {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                }),
-                0b010111 => {
-                    if vm {
-                        if vs2(w).num() != 0 {
-                            return Err(err(w, "vmv.v.x requires vs2=0"));
-                        }
-                        Ok(Instr::VMvVX {
-                            vd: vd(w),
-                            rs1: rs1(w),
-                        })
-                    } else {
-                        Ok(Instr::VMergeVXM {
-                            vd: vd(w),
-                            vs2: vs2(w),
-                            rs1: rs1(w),
-                        })
-                    }
-                }
-                _ => Err(err(w, "unknown OPIVX funct6")),
-            }
-        }
-        0b011 => {
-            // OPIVI
-            if let Some(op) = opi_alu_from_funct6(f6) {
-                if !op.has_vi() {
-                    return Err(err(w, "nonexistent .vi form"));
-                }
-                let imm = if op.imm_is_unsigned() {
-                    uimm5(w) as i8
-                } else {
-                    simm5(w)
-                };
-                return Ok(Instr::VOpVI {
-                    op,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    imm,
-                    vm,
-                });
-            }
-            if let Some(cond) = cmp_from_funct6(f6) {
-                if !cond.has_vi() {
-                    return Err(err(w, "nonexistent compare .vi form"));
-                }
-                return Ok(Instr::VCmpVI {
-                    cond,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    imm: simm5(w),
-                    vm,
-                });
-            }
-            match f6 {
-                0b001110 => Ok(Instr::VSlideUpVI {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    uimm: uimm5(w),
-                    vm,
-                }),
-                0b001111 => Ok(Instr::VSlideDownVI {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    uimm: uimm5(w),
-                    vm,
-                }),
-                0b010111 => {
-                    if vm {
-                        if vs2(w).num() != 0 {
-                            return Err(err(w, "vmv.v.i requires vs2=0"));
-                        }
-                        Ok(Instr::VMvVI {
-                            vd: vd(w),
-                            imm: simm5(w),
-                        })
-                    } else {
-                        Ok(Instr::VMergeVIM {
-                            vd: vd(w),
-                            vs2: vs2(w),
-                            imm: simm5(w),
-                        })
-                    }
-                }
-                _ => Err(err(w, "unknown OPIVI funct6")),
-            }
-        }
-        0b010 => {
-            // OPMVV
-            if let Some(op) = red_from_funct6(f6) {
-                return Ok(Instr::VRed {
-                    op,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    vs1: vs1(w),
-                    vm,
-                });
-            }
-            if let Some(op) = opm_alu_from_funct6(f6) {
-                return Ok(Instr::VOpVV {
-                    op,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    vs1: vs1(w),
-                    vm,
-                });
-            }
-            match f6 {
-                0b010000 => match (w >> 15) & 0x1f {
-                    0b00000 => {
-                        if !vm {
-                            return Err(err(w, "vmv.x.s must be unmasked"));
-                        }
-                        Ok(Instr::VMvXS {
-                            rd: rd(w),
-                            vs2: vs2(w),
-                        })
-                    }
-                    0b10000 => Ok(Instr::VCpop {
-                        rd: rd(w),
-                        vs2: vs2(w),
-                        vm,
-                    }),
-                    0b10001 => Ok(Instr::VFirst {
-                        rd: rd(w),
-                        vs2: vs2(w),
-                        vm,
-                    }),
-                    _ => Err(err(w, "unknown VWXUNARY0 vs1")),
-                },
-                0b010100 => match (w >> 15) & 0x1f {
-                    0b00001 => Ok(Instr::VMsbf {
-                        vd: vd(w),
-                        vs2: vs2(w),
-                        vm,
-                    }),
-                    0b00010 => Ok(Instr::VMsof {
-                        vd: vd(w),
-                        vs2: vs2(w),
-                        vm,
-                    }),
-                    0b00011 => Ok(Instr::VMsif {
-                        vd: vd(w),
-                        vs2: vs2(w),
-                        vm,
-                    }),
-                    0b10000 => Ok(Instr::VIota {
-                        vd: vd(w),
-                        vs2: vs2(w),
-                        vm,
-                    }),
-                    0b10001 => Ok(Instr::VId { vd: vd(w), vm }),
-                    _ => Err(err(w, "unknown VMUNARY0 vs1")),
-                },
-                0b010111 => {
-                    if !vm {
-                        return Err(err(w, "vcompress must be unmasked"));
-                    }
-                    Ok(Instr::VCompress {
-                        vd: vd(w),
-                        vs2: vs2(w),
-                        vs1: vs1(w),
-                    })
-                }
-                _ => {
-                    if let Some(op) = mask_from_funct6(f6) {
-                        if !vm {
-                            return Err(err(w, "mask logical must be unmasked"));
-                        }
-                        Ok(Instr::VMaskLogic {
-                            op,
-                            vd: vd(w),
-                            vs2: vs2(w),
-                            vs1: vs1(w),
-                        })
-                    } else {
-                        Err(err(w, "unknown OPMVV funct6"))
-                    }
-                }
-            }
-        }
-        0b110 => {
-            // OPMVX
-            if let Some(op) = opm_alu_from_funct6(f6) {
-                return Ok(Instr::VOpVX {
-                    op,
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                });
-            }
-            match f6 {
-                0b001110 => Ok(Instr::VSlide1Up {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                }),
-                0b001111 => Ok(Instr::VSlide1Down {
-                    vd: vd(w),
-                    vs2: vs2(w),
-                    rs1: rs1(w),
-                    vm,
-                }),
-                0b010000 => {
-                    if vs2(w).num() != 0 {
-                        return Err(err(w, "vmv.s.x requires vs2=0"));
-                    }
-                    if !vm {
-                        return Err(err(w, "vmv.s.x must be unmasked"));
-                    }
-                    Ok(Instr::VMvSX {
-                        vd: vd(w),
-                        rs1: rs1(w),
-                    })
-                }
-                _ => Err(err(w, "unknown OPMVX funct6")),
-            }
-        }
-        _ => Err(err(w, "unsupported OP-V funct3 (FP space)")),
-    }
-}
-
-/// Decode a 32-bit word into an [`Instr`].
+/// Decode a 32-bit word into an [`Instr`]: find the one table row whose
+/// fixed bits the word carries, then read each operand field.
 ///
 /// # Errors
-/// Returns a [`DecodeError`] naming the first field that failed to match the
-/// modelled subset.
+/// Returns a [`DecodeError`] if no row matches (including any word with a
+/// bit set that the instruction's encoding fixes to zero) or an operand
+/// holds a value its field rejects (a reserved `vtype`, an unmodelled CSR).
 pub fn decode(word: u32) -> Result<Instr, DecodeError> {
-    // Note on mask-logic vs compares: funct6 0b011xxx appears in both the
-    // OPIVV compare space and the OPMVV mask-logic space; funct3
-    // disambiguates, handled inside decode_op_v.
-    match word & 0x7f {
-        0b0110111 => Ok(Instr::Lui {
-            rd: rd(word),
-            imm20: ((word as i32) >> 12),
-        }),
-        0b0010111 => Ok(Instr::Auipc {
-            rd: rd(word),
-            imm20: ((word as i32) >> 12),
-        }),
-        0b1101111 => Ok(Instr::Jal {
-            rd: rd(word),
-            offset: imm_j(word),
-        }),
-        0b1100111 => {
-            if funct3(word) != 0 {
-                return Err(err(word, "bad jalr funct3"));
-            }
-            Ok(Instr::Jalr {
-                rd: rd(word),
-                rs1: rs1(word),
-                offset: imm_i(word),
-            })
+    let err = |reason| DecodeError { word, reason };
+    let row = table::find(word).ok_or(err("no instruction of the modelled subset"))?;
+    let mut ops = Operands::default();
+    for &field in row.fields() {
+        let v = field.extract(word);
+        field
+            .check(v)
+            .map_err(|_| err("operand value out of range"))?;
+        if let Some(s) = field.slot() {
+            ops[s as usize] = v;
         }
-        0b1100011 => decode_branch(word),
-        0b0000011 => decode_load(word),
-        0b0100011 => decode_store(word),
-        0b0010011 => decode_op_imm(word),
-        0b0110011 => decode_op(word),
-        0b1110011 => match word >> 7 {
-            0 => Ok(Instr::Ecall),
-            x if x == (1 << 13) => Ok(Instr::Ebreak),
-            _ => {
-                // csrrs rd, csr, x0 == csrr rd, csr.
-                if funct3(word) == 0b010 && rs1(word).is_zero() {
-                    if let Some(csr) = crate::instr::VCsr::from_addr(word >> 20) {
-                        return Ok(Instr::Csrr { rd: rd(word), csr });
-                    }
-                }
-                Err(err(word, "unsupported SYSTEM instruction"))
-            }
-        },
-        0b1010111 => decode_op_v(word),
-        0b0000111 => decode_vmem(word, false),
-        0b0100111 => decode_vmem(word, true),
-        _ => Err(err(word, "unknown opcode")),
     }
+    Ok(table::join(row, &ops))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode;
+    use crate::{AluOp, VAluOp, VReg, XReg};
 
     #[test]
     fn decode_known_words() {

@@ -1,20 +1,13 @@
-//! 32-bit binary instruction encoding.
+//! 32-bit binary instruction encoding, following the RISC-V unprivileged
+//! specification (RV64IM) and the RVV 1.0 specification.
 //!
-//! Follows the RISC-V unprivileged specification (RV64IM) and the RVV 1.0
-//! specification. Field layouts:
-//!
-//! * Vector arithmetic (`OP-V`, opcode `1010111`):
-//!   `funct6[31:26] vm[25] vs2[24:20] vs1/rs1/imm[19:15] funct3[14:12]
-//!   vd[11:7]`.
-//! * Vector loads (`LOAD-FP`, opcode `0000111`) and stores (`STORE-FP`,
-//!   `0100111`): `nf[31:29] mew[28] mop[27:26] vm[25] lumop/rs2/vs2[24:20]
-//!   rs1[19:15] width[14:12] vd/vs3[11:7]`.
-//!
-//! [`encode`] validates operand forms (e.g. there is no `vsub.vi`) and
-//! immediate ranges, so a successful encoding is a well-formed instruction.
+//! [`encode`] is a walk over the instruction's row in [`crate::table`]: it
+//! rejects operand forms the table lacks (e.g. there is no `vsub.vi`) and
+//! values outside a field's range, so a successful encoding is a
+//! well-formed instruction.
 
-use crate::instr::{AluOp, BranchCond, Instr, MaskOp, MemWidth, VAluOp, VCmp, VRedOp};
-use crate::{Sew, VReg, XReg};
+use crate::instr::Instr;
+use crate::table;
 use core::fmt;
 
 /// Error produced when an [`Instr`] cannot be encoded.
@@ -53,706 +46,28 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-const OPC_LUI: u32 = 0b0110111;
-const OPC_AUIPC: u32 = 0b0010111;
-const OPC_JAL: u32 = 0b1101111;
-const OPC_JALR: u32 = 0b1100111;
-const OPC_BRANCH: u32 = 0b1100011;
-const OPC_LOAD: u32 = 0b0000011;
-const OPC_STORE: u32 = 0b0100011;
-const OPC_OP_IMM: u32 = 0b0010011;
-const OPC_OP: u32 = 0b0110011;
-const OPC_SYSTEM: u32 = 0b1110011;
-const OPC_OP_V: u32 = 0b1010111;
-const OPC_LOAD_FP: u32 = 0b0000111;
-const OPC_STORE_FP: u32 = 0b0100111;
-
-const F3_OPIVV: u32 = 0b000;
-const F3_OPIVI: u32 = 0b011;
-const F3_OPIVX: u32 = 0b100;
-const F3_OPMVV: u32 = 0b010;
-const F3_OPMVX: u32 = 0b110;
-const F3_VSETVL: u32 = 0b111;
-
-fn x(r: XReg) -> u32 {
-    r.num() as u32
-}
-fn v(r: VReg) -> u32 {
-    r.num() as u32
-}
-
-fn check_i12(field: &'static str, imm: i32) -> Result<u32, EncodeError> {
-    if (-2048..=2047).contains(&imm) {
-        Ok((imm as u32) & 0xfff)
-    } else {
-        Err(EncodeError::ImmOutOfRange {
-            field,
-            value: imm as i64,
-        })
-    }
-}
-
-fn check_imm20(field: &'static str, imm: i32) -> Result<u32, EncodeError> {
-    if (-(1 << 19)..(1 << 19)).contains(&imm) {
-        Ok((imm as u32) & 0xfffff)
-    } else {
-        Err(EncodeError::ImmOutOfRange {
-            field,
-            value: imm as i64,
-        })
-    }
-}
-
-fn r_type(opcode: u32, rd: u32, funct3: u32, rs1: u32, rs2: u32, funct7: u32) -> u32 {
-    opcode | (rd << 7) | (funct3 << 12) | (rs1 << 15) | (rs2 << 20) | (funct7 << 25)
-}
-
-fn i_type(opcode: u32, rd: u32, funct3: u32, rs1: u32, imm12: u32) -> u32 {
-    opcode | (rd << 7) | (funct3 << 12) | (rs1 << 15) | (imm12 << 20)
-}
-
-fn s_type(opcode: u32, funct3: u32, rs1: u32, rs2: u32, imm12: u32) -> u32 {
-    opcode
-        | ((imm12 & 0x1f) << 7)
-        | (funct3 << 12)
-        | (rs1 << 15)
-        | (rs2 << 20)
-        | ((imm12 >> 5) << 25)
-}
-
-fn b_type(opcode: u32, funct3: u32, rs1: u32, rs2: u32, offset: i32) -> Result<u32, EncodeError> {
-    if offset % 2 != 0 {
-        return Err(EncodeError::MisalignedOffset(offset as i64));
-    }
-    if !(-4096..=4094).contains(&offset) {
-        return Err(EncodeError::ImmOutOfRange {
-            field: "branch offset",
-            value: offset as i64,
-        });
-    }
-    let imm = offset as u32;
-    Ok(opcode
-        | (((imm >> 11) & 1) << 7)
-        | (((imm >> 1) & 0xf) << 8)
-        | (funct3 << 12)
-        | (rs1 << 15)
-        | (rs2 << 20)
-        | (((imm >> 5) & 0x3f) << 25)
-        | (((imm >> 12) & 1) << 31))
-}
-
-fn j_type(opcode: u32, rd: u32, offset: i32) -> Result<u32, EncodeError> {
-    if offset % 2 != 0 {
-        return Err(EncodeError::MisalignedOffset(offset as i64));
-    }
-    if !(-(1 << 20)..(1 << 20)).contains(&offset) {
-        return Err(EncodeError::ImmOutOfRange {
-            field: "jal offset",
-            value: offset as i64,
-        });
-    }
-    let imm = offset as u32;
-    Ok(opcode
-        | (rd << 7)
-        | (((imm >> 12) & 0xff) << 12)
-        | (((imm >> 11) & 1) << 20)
-        | (((imm >> 1) & 0x3ff) << 21)
-        | (((imm >> 20) & 1) << 31))
-}
-
-/// Vector arithmetic format (`OP-V`).
-fn v_type(funct6: u32, vm: bool, vs2: u32, vs1: u32, funct3: u32, vd: u32) -> u32 {
-    OPC_OP_V
-        | (vd << 7)
-        | (funct3 << 12)
-        | (vs1 << 15)
-        | (vs2 << 20)
-        | ((vm as u32) << 25)
-        | (funct6 << 26)
-}
-
-fn check_vi_simm5(imm: i8) -> Result<u32, EncodeError> {
-    if (-16..=15).contains(&imm) {
-        Ok((imm as u32) & 0x1f)
-    } else {
-        Err(EncodeError::ImmOutOfRange {
-            field: "vector simm5",
-            value: imm as i64,
-        })
-    }
-}
-
-fn check_vi_uimm5(imm: i64, field: &'static str) -> Result<u32, EncodeError> {
-    if (0..=31).contains(&imm) {
-        Ok(imm as u32)
-    } else {
-        Err(EncodeError::ImmOutOfRange { field, value: imm })
-    }
-}
-
-/// funct6 values for `OPI*`-space ALU ops (RVV 1.0 §"Vector Integer
-/// Arithmetic Instructions").
-fn opi_funct6(op: VAluOp) -> Option<u32> {
-    Some(match op {
-        VAluOp::Add => 0b000000,
-        VAluOp::Sub => 0b000010,
-        VAluOp::Rsub => 0b000011,
-        VAluOp::Minu => 0b000100,
-        VAluOp::Min => 0b000101,
-        VAluOp::Maxu => 0b000110,
-        VAluOp::Max => 0b000111,
-        VAluOp::And => 0b001001,
-        VAluOp::Or => 0b001010,
-        VAluOp::Xor => 0b001011,
-        VAluOp::Sll => 0b100101,
-        VAluOp::Srl => 0b101000,
-        VAluOp::Sra => 0b101001,
-        _ => return None,
-    })
-}
-
-/// funct6 values for `OPM*`-space ALU ops (multiply/divide).
-fn opm_funct6(op: VAluOp) -> Option<u32> {
-    Some(match op {
-        VAluOp::Divu => 0b100000,
-        VAluOp::Div => 0b100001,
-        VAluOp::Remu => 0b100010,
-        VAluOp::Rem => 0b100011,
-        VAluOp::Mulhu => 0b100100,
-        VAluOp::Mul => 0b100101,
-        VAluOp::Mulh => 0b100111,
-        _ => return None,
-    })
-}
-
-fn cmp_funct6(cond: VCmp) -> u32 {
-    match cond {
-        VCmp::Eq => 0b011000,
-        VCmp::Ne => 0b011001,
-        VCmp::Ltu => 0b011010,
-        VCmp::Lt => 0b011011,
-        VCmp::Leu => 0b011100,
-        VCmp::Le => 0b011101,
-        VCmp::Gtu => 0b011110,
-        VCmp::Gt => 0b011111,
-    }
-}
-
-fn mask_funct6(op: MaskOp) -> u32 {
-    match op {
-        MaskOp::Andn => 0b011000,
-        MaskOp::And => 0b011001,
-        MaskOp::Or => 0b011010,
-        MaskOp::Xor => 0b011011,
-        MaskOp::Orn => 0b011100,
-        MaskOp::Nand => 0b011101,
-        MaskOp::Nor => 0b011110,
-        MaskOp::Xnor => 0b011111,
-    }
-}
-
-fn red_funct6(op: VRedOp) -> u32 {
-    match op {
-        VRedOp::Sum => 0b000000,
-        VRedOp::And => 0b000001,
-        VRedOp::Or => 0b000010,
-        VRedOp::Xor => 0b000011,
-        VRedOp::Minu => 0b000100,
-        VRedOp::Min => 0b000101,
-        VRedOp::Maxu => 0b000110,
-        VRedOp::Max => 0b000111,
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the instruction format fields
-/// Vector memory format. `mop`: 00 unit-stride, 01 indexed-unordered,
-/// 10 strided, 11 indexed-ordered. `field_24_20` holds lumop/sumop, rs2, or
-/// vs2 depending on `mop`.
-fn vmem(
-    opcode: u32,
-    nf: u32,
-    mop: u32,
-    vm: bool,
-    field_24_20: u32,
-    rs1: u32,
-    width: u32,
-    vd: u32,
-) -> u32 {
-    opcode
-        | (vd << 7)
-        | (width << 12)
-        | (rs1 << 15)
-        | (field_24_20 << 20)
-        | ((vm as u32) << 25)
-        | (mop << 26)
-        | (nf << 29)
-}
-
-const LUMOP_UNIT: u32 = 0b00000;
-const LUMOP_WHOLE: u32 = 0b01000;
-const LUMOP_MASK: u32 = 0b01011;
-
-fn whole_nf(nregs: u8) -> Result<u32, EncodeError> {
-    match nregs {
-        1 | 2 | 4 | 8 => Ok(nregs as u32 - 1),
-        _ => Err(EncodeError::InvalidWholeRegCount(nregs)),
-    }
-}
-
-fn scalar_load_funct3(width: MemWidth, signed: bool) -> u32 {
-    match (width, signed) {
-        (MemWidth::B, true) => 0b000,
-        (MemWidth::H, true) => 0b001,
-        (MemWidth::W, true) => 0b010,
-        (MemWidth::D, _) => 0b011,
-        (MemWidth::B, false) => 0b100,
-        (MemWidth::H, false) => 0b101,
-        (MemWidth::W, false) => 0b110,
-    }
-}
-
-fn store_funct3(width: MemWidth) -> u32 {
-    match width {
-        MemWidth::B => 0b000,
-        MemWidth::H => 0b001,
-        MemWidth::W => 0b010,
-        MemWidth::D => 0b011,
-    }
-}
-
-fn branch_funct3(cond: BranchCond) -> u32 {
-    match cond {
-        BranchCond::Eq => 0b000,
-        BranchCond::Ne => 0b001,
-        BranchCond::Lt => 0b100,
-        BranchCond::Ge => 0b101,
-        BranchCond::Ltu => 0b110,
-        BranchCond::Geu => 0b111,
-    }
-}
-
-fn alu_funct3(op: AluOp) -> u32 {
-    match op {
-        AluOp::Add | AluOp::Sub => 0b000,
-        AluOp::Sll => 0b001,
-        AluOp::Slt => 0b010,
-        AluOp::Sltu => 0b011,
-        AluOp::Xor => 0b100,
-        AluOp::Srl | AluOp::Sra => 0b101,
-        AluOp::Or => 0b110,
-        AluOp::And => 0b111,
-        AluOp::Mul => 0b000,
-        AluOp::Mulh => 0b001,
-        AluOp::Mulhu => 0b011,
-        AluOp::Div => 0b100,
-        AluOp::Divu => 0b101,
-        AluOp::Rem => 0b110,
-        AluOp::Remu => 0b111,
-    }
-}
-
-fn is_m_ext(op: AluOp) -> bool {
-    matches!(
-        op,
-        AluOp::Mul
-            | AluOp::Mulh
-            | AluOp::Mulhu
-            | AluOp::Div
-            | AluOp::Divu
-            | AluOp::Rem
-            | AluOp::Remu
-    )
-}
-
-/// Encode one instruction to its 32-bit binary form.
+/// Encode one instruction to its 32-bit binary form: its table row's fixed
+/// bits plus each operand field.
 ///
 /// # Errors
 /// Returns an error for out-of-range immediates, misaligned control-flow
 /// offsets, and operand forms that do not exist in the ISA.
 pub fn encode(instr: &Instr) -> Result<u32, EncodeError> {
-    use Instr::*;
-    Ok(match *instr {
-        Lui { rd, imm20 } => OPC_LUI | (x(rd) << 7) | (check_imm20("lui imm", imm20)? << 12),
-        Auipc { rd, imm20 } => OPC_AUIPC | (x(rd) << 7) | (check_imm20("auipc imm", imm20)? << 12),
-        Jal { rd, offset } => j_type(OPC_JAL, x(rd), offset)?,
-        Jalr { rd, rs1, offset } => i_type(
-            OPC_JALR,
-            x(rd),
-            0b000,
-            x(rs1),
-            check_i12("jalr offset", offset)?,
-        ),
-        Branch {
-            cond,
-            rs1,
-            rs2,
-            offset,
-        } => b_type(OPC_BRANCH, branch_funct3(cond), x(rs1), x(rs2), offset)?,
-        Load {
-            width,
-            signed,
-            rd,
-            rs1,
-            offset,
-        } => i_type(
-            OPC_LOAD,
-            x(rd),
-            scalar_load_funct3(width, signed),
-            x(rs1),
-            check_i12("load offset", offset)?,
-        ),
-        Store {
-            width,
-            rs2,
-            rs1,
-            offset,
-        } => s_type(
-            OPC_STORE,
-            store_funct3(width),
-            x(rs1),
-            x(rs2),
-            check_i12("store offset", offset)?,
-        ),
-        OpImm { op, rd, rs1, imm } => {
-            if !op.has_imm_form() {
-                return Err(EncodeError::InvalidForm("no OP-IMM form for this ALU op"));
+    let Some((row, ops)) = table::split(instr) else {
+        return Err(match *instr {
+            Instr::VLoadWhole { nregs, .. } | Instr::VStoreWhole { nregs, .. } => {
+                EncodeError::InvalidWholeRegCount(nregs)
             }
-            if op.is_shift() {
-                let shamt = check_vi_uimm5(imm as i64, "shamt").or_else(|_| {
-                    if (0..=63).contains(&imm) {
-                        Ok(imm as u32)
-                    } else {
-                        Err(EncodeError::ImmOutOfRange {
-                            field: "shamt",
-                            value: imm as i64,
-                        })
-                    }
-                })?;
-                let hi = if matches!(op, AluOp::Sra) {
-                    0b010000u32 << 6
-                } else {
-                    0
-                };
-                i_type(OPC_OP_IMM, x(rd), alu_funct3(op), x(rs1), hi | shamt)
-            } else {
-                i_type(
-                    OPC_OP_IMM,
-                    x(rd),
-                    alu_funct3(op),
-                    x(rs1),
-                    check_i12("op imm", imm)?,
-                )
-            }
-        }
-        Op { op, rd, rs1, rs2 } => {
-            let funct7 = if is_m_ext(op) {
-                0b0000001
-            } else if matches!(op, AluOp::Sub | AluOp::Sra) {
-                0b0100000
-            } else {
-                0
-            };
-            r_type(OPC_OP, x(rd), alu_funct3(op), x(rs1), x(rs2), funct7)
-        }
-        Csrr { rd, csr } => i_type(OPC_SYSTEM, x(rd), 0b010, 0, csr.addr()),
-        Ecall => OPC_SYSTEM,
-        Ebreak => OPC_SYSTEM | (1 << 20),
-
-        Vsetvli { rd, rs1, vtype } => {
-            let zimm = vtype.to_bits() as u32; // fits 8 bits; field is 11
-            i_type(OPC_OP_V, x(rd), F3_VSETVL, x(rs1), zimm)
-        }
-        Vsetivli { rd, uimm, vtype } => {
-            let u = check_vi_uimm5(uimm as i64, "vsetivli uimm")?;
-            let zimm = vtype.to_bits() as u32;
-            i_type(OPC_OP_V, x(rd), F3_VSETVL, u, zimm | (0b11 << 10))
-        }
-        Vsetvl { rd, rs1, rs2 } => i_type(OPC_OP_V, x(rd), F3_VSETVL, x(rs1), x(rs2) | (1 << 11)),
-
-        VLoad { eew, vd, rs1, vm } => vmem(
-            OPC_LOAD_FP,
-            0,
-            0b00,
-            vm,
-            LUMOP_UNIT,
-            x(rs1),
-            eew.mem_width_bits(),
-            v(vd),
-        ),
-        VStore { eew, vs3, rs1, vm } => vmem(
-            OPC_STORE_FP,
-            0,
-            0b00,
-            vm,
-            LUMOP_UNIT,
-            x(rs1),
-            eew.mem_width_bits(),
-            v(vs3),
-        ),
-        VLoadStrided {
-            eew,
-            vd,
-            rs1,
-            rs2,
-            vm,
-        } => vmem(
-            OPC_LOAD_FP,
-            0,
-            0b10,
-            vm,
-            x(rs2),
-            x(rs1),
-            eew.mem_width_bits(),
-            v(vd),
-        ),
-        VStoreStrided {
-            eew,
-            vs3,
-            rs1,
-            rs2,
-            vm,
-        } => vmem(
-            OPC_STORE_FP,
-            0,
-            0b10,
-            vm,
-            x(rs2),
-            x(rs1),
-            eew.mem_width_bits(),
-            v(vs3),
-        ),
-        VLoadIndexed {
-            eew,
-            ordered,
-            vd,
-            rs1,
-            vs2,
-            vm,
-        } => {
-            let mop = if ordered { 0b11 } else { 0b01 };
-            vmem(
-                OPC_LOAD_FP,
-                0,
-                mop,
-                vm,
-                v(vs2),
-                x(rs1),
-                eew.mem_width_bits(),
-                v(vd),
-            )
-        }
-        VStoreIndexed {
-            eew,
-            ordered,
-            vs3,
-            rs1,
-            vs2,
-            vm,
-        } => {
-            let mop = if ordered { 0b11 } else { 0b01 };
-            vmem(
-                OPC_STORE_FP,
-                0,
-                mop,
-                vm,
-                v(vs2),
-                x(rs1),
-                eew.mem_width_bits(),
-                v(vs3),
-            )
-        }
-        VLoadWhole { nregs, vd, rs1 } => vmem(
-            OPC_LOAD_FP,
-            whole_nf(nregs)?,
-            0b00,
-            true,
-            LUMOP_WHOLE,
-            x(rs1),
-            Sew::E8.mem_width_bits(),
-            v(vd),
-        ),
-        VStoreWhole { nregs, vs3, rs1 } => vmem(
-            OPC_STORE_FP,
-            whole_nf(nregs)?,
-            0b00,
-            true,
-            LUMOP_WHOLE,
-            x(rs1),
-            Sew::E8.mem_width_bits(),
-            v(vs3),
-        ),
-        VLoadMask { vd, rs1 } => vmem(
-            OPC_LOAD_FP,
-            0,
-            0b00,
-            true,
-            LUMOP_MASK,
-            x(rs1),
-            Sew::E8.mem_width_bits(),
-            v(vd),
-        ),
-        VStoreMask { vs3, rs1 } => vmem(
-            OPC_STORE_FP,
-            0,
-            0b00,
-            true,
-            LUMOP_MASK,
-            x(rs1),
-            Sew::E8.mem_width_bits(),
-            v(vs3),
-        ),
-
-        VOpVV {
-            op,
-            vd,
-            vs2,
-            vs1,
-            vm,
-        } => {
-            if !op.has_vv() {
-                return Err(EncodeError::InvalidForm("no .vv form"));
-            }
-            if let Some(f6) = opi_funct6(op) {
-                v_type(f6, vm, v(vs2), v(vs1), F3_OPIVV, v(vd))
-            } else {
-                let f6 = opm_funct6(op).expect("op must be OPI or OPM");
-                v_type(f6, vm, v(vs2), v(vs1), F3_OPMVV, v(vd))
-            }
-        }
-        VOpVX {
-            op,
-            vd,
-            vs2,
-            rs1,
-            vm,
-        } => {
-            if let Some(f6) = opi_funct6(op) {
-                v_type(f6, vm, v(vs2), x(rs1), F3_OPIVX, v(vd))
-            } else {
-                let f6 = opm_funct6(op).expect("op must be OPI or OPM");
-                v_type(f6, vm, v(vs2), x(rs1), F3_OPMVX, v(vd))
-            }
-        }
-        VOpVI {
-            op,
-            vd,
-            vs2,
-            imm,
-            vm,
-        } => {
-            if !op.has_vi() {
-                return Err(EncodeError::InvalidForm("no .vi form"));
-            }
-            let f6 = opi_funct6(op).expect("all .vi ops are OPI");
-            let field = if op.imm_is_unsigned() {
-                check_vi_uimm5(imm as i64, "vector uimm5")?
-            } else {
-                check_vi_simm5(imm)?
-            };
-            v_type(f6, vm, v(vs2), field, F3_OPIVI, v(vd))
-        }
-        VCmpVV {
-            cond,
-            vd,
-            vs2,
-            vs1,
-            vm,
-        } => {
-            if !cond.has_vv() {
-                return Err(EncodeError::InvalidForm("no .vv form for this compare"));
-            }
-            v_type(cmp_funct6(cond), vm, v(vs2), v(vs1), F3_OPIVV, v(vd))
-        }
-        VCmpVX {
-            cond,
-            vd,
-            vs2,
-            rs1,
-            vm,
-        } => v_type(cmp_funct6(cond), vm, v(vs2), x(rs1), F3_OPIVX, v(vd)),
-        VCmpVI {
-            cond,
-            vd,
-            vs2,
-            imm,
-            vm,
-        } => {
-            if !cond.has_vi() {
-                return Err(EncodeError::InvalidForm("no .vi form for this compare"));
-            }
-            v_type(
-                cmp_funct6(cond),
-                vm,
-                v(vs2),
-                check_vi_simm5(imm)?,
-                F3_OPIVI,
-                v(vd),
-            )
-        }
-        VMergeVVM { vd, vs2, vs1 } => v_type(0b010111, false, v(vs2), v(vs1), F3_OPIVV, v(vd)),
-        VMergeVXM { vd, vs2, rs1 } => v_type(0b010111, false, v(vs2), x(rs1), F3_OPIVX, v(vd)),
-        VMergeVIM { vd, vs2, imm } => v_type(
-            0b010111,
-            false,
-            v(vs2),
-            check_vi_simm5(imm)?,
-            F3_OPIVI,
-            v(vd),
-        ),
-        VMvVV { vd, vs1 } => v_type(0b010111, true, 0, v(vs1), F3_OPIVV, v(vd)),
-        VMvVX { vd, rs1 } => v_type(0b010111, true, 0, x(rs1), F3_OPIVX, v(vd)),
-        VMvVI { vd, imm } => v_type(0b010111, true, 0, check_vi_simm5(imm)?, F3_OPIVI, v(vd)),
-        VMvSX { vd, rs1 } => v_type(0b010000, true, 0, x(rs1), F3_OPMVX, v(vd)),
-        VMvXS { rd, vs2 } => v_type(0b010000, true, v(vs2), 0, F3_OPMVV, x(rd)),
-
-        VSlideUpVX { vd, vs2, rs1, vm } => v_type(0b001110, vm, v(vs2), x(rs1), F3_OPIVX, v(vd)),
-        VSlideUpVI { vd, vs2, uimm, vm } => v_type(
-            0b001110,
-            vm,
-            v(vs2),
-            check_vi_uimm5(uimm as i64, "slide uimm")?,
-            F3_OPIVI,
-            v(vd),
-        ),
-        VSlideDownVX { vd, vs2, rs1, vm } => v_type(0b001111, vm, v(vs2), x(rs1), F3_OPIVX, v(vd)),
-        VSlideDownVI { vd, vs2, uimm, vm } => v_type(
-            0b001111,
-            vm,
-            v(vs2),
-            check_vi_uimm5(uimm as i64, "slide uimm")?,
-            F3_OPIVI,
-            v(vd),
-        ),
-        VSlide1Up { vd, vs2, rs1, vm } => v_type(0b001110, vm, v(vs2), x(rs1), F3_OPMVX, v(vd)),
-        VSlide1Down { vd, vs2, rs1, vm } => v_type(0b001111, vm, v(vs2), x(rs1), F3_OPMVX, v(vd)),
-        VRGatherVV { vd, vs2, vs1, vm } => v_type(0b001100, vm, v(vs2), v(vs1), F3_OPIVV, v(vd)),
-        VRGatherVX { vd, vs2, rs1, vm } => v_type(0b001100, vm, v(vs2), x(rs1), F3_OPIVX, v(vd)),
-        VCompress { vd, vs2, vs1 } => v_type(0b010111, true, v(vs2), v(vs1), F3_OPMVV, v(vd)),
-
-        VMaskLogic { op, vd, vs2, vs1 } => {
-            v_type(mask_funct6(op), true, v(vs2), v(vs1), F3_OPMVV, v(vd))
-        }
-        VIota { vd, vs2, vm } => v_type(0b010100, vm, v(vs2), 0b10000, F3_OPMVV, v(vd)),
-        VId { vd, vm } => v_type(0b010100, vm, 0, 0b10001, F3_OPMVV, v(vd)),
-        VCpop { rd, vs2, vm } => v_type(0b010000, vm, v(vs2), 0b10000, F3_OPMVV, x(rd)),
-        VFirst { rd, vs2, vm } => v_type(0b010000, vm, v(vs2), 0b10001, F3_OPMVV, x(rd)),
-        VMsbf { vd, vs2, vm } => v_type(0b010100, vm, v(vs2), 0b00001, F3_OPMVV, v(vd)),
-        VMsof { vd, vs2, vm } => v_type(0b010100, vm, v(vs2), 0b00010, F3_OPMVV, v(vd)),
-        VMsif { vd, vs2, vm } => v_type(0b010100, vm, v(vs2), 0b00011, F3_OPMVV, v(vd)),
-
-        VRed {
-            op,
-            vd,
-            vs2,
-            vs1,
-            vm,
-        } => v_type(red_funct6(op), vm, v(vs2), v(vs1), F3_OPMVV, v(vd)),
-    })
+            _ => EncodeError::InvalidForm("no such operand form"),
+        });
+    };
+    row.encode(&ops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AluOp, BranchCond, MemWidth, Sew, VAluOp, VCmp, VReg, XReg};
     use crate::{Lmul, VType};
 
     /// Reference encodings cross-checked by hand against the RISC-V

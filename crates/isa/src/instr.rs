@@ -3,11 +3,10 @@
 //! Every instruction the workspace's kernels can emit is representable here.
 //! Families group instructions that share an encoding shape and an execution
 //! loop (e.g. every integer `OPIVV` arithmetic instruction is
-//! [`Instr::VOpVV`] with a [`VAluOp`]); the concrete mnemonic is recovered by
-//! the `Display` implementation, which renders standard assembly syntax.
+//! [`Instr::VOpVV`] with a [`VAluOp`]); the concrete mnemonic, encoding and
+//! assembly syntax of each form live in one row of [`crate::table`].
 
 use crate::{Sew, VReg, VType, XReg};
-use core::fmt;
 
 /// Scalar ALU operation selector, shared by register-register
 /// ([`Instr::Op`]) and, for the subset that exists, immediate
@@ -71,28 +70,6 @@ impl AluOp {
     pub const fn is_shift(self) -> bool {
         matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
     }
-
-    fn mnemonic(self) -> &'static str {
-        match self {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Sll => "sll",
-            AluOp::Slt => "slt",
-            AluOp::Sltu => "sltu",
-            AluOp::Xor => "xor",
-            AluOp::Srl => "srl",
-            AluOp::Sra => "sra",
-            AluOp::Or => "or",
-            AluOp::And => "and",
-            AluOp::Mul => "mul",
-            AluOp::Mulh => "mulh",
-            AluOp::Mulhu => "mulhu",
-            AluOp::Div => "div",
-            AluOp::Divu => "divu",
-            AluOp::Rem => "rem",
-            AluOp::Remu => "remu",
-        }
-    }
 }
 
 /// Branch comparison condition ([`Instr::Branch`]).
@@ -110,19 +87,6 @@ pub enum BranchCond {
     Ltu,
     /// `bgeu` — unsigned greater-or-equal.
     Geu,
-}
-
-impl BranchCond {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            BranchCond::Eq => "beq",
-            BranchCond::Ne => "bne",
-            BranchCond::Lt => "blt",
-            BranchCond::Ge => "bge",
-            BranchCond::Ltu => "bltu",
-            BranchCond::Geu => "bgeu",
-        }
-    }
 }
 
 /// Vector-state CSRs readable with `csrr` (the Zicsr subset kernels use:
@@ -157,7 +121,8 @@ impl VCsr {
         }
     }
 
-    fn name(self) -> &'static str {
+    /// Assembly name (`vl`, `vtype`, `vlenb`).
+    pub(crate) fn name(self) -> &'static str {
         match self {
             VCsr::Vl => "vl",
             VCsr::Vtype => "vtype",
@@ -285,31 +250,6 @@ impl VAluOp {
     pub const fn imm_is_unsigned(self) -> bool {
         matches!(self, VAluOp::Sll | VAluOp::Srl | VAluOp::Sra)
     }
-
-    fn mnemonic(self) -> &'static str {
-        match self {
-            VAluOp::Add => "vadd",
-            VAluOp::Sub => "vsub",
-            VAluOp::Rsub => "vrsub",
-            VAluOp::Minu => "vminu",
-            VAluOp::Min => "vmin",
-            VAluOp::Maxu => "vmaxu",
-            VAluOp::Max => "vmax",
-            VAluOp::And => "vand",
-            VAluOp::Or => "vor",
-            VAluOp::Xor => "vxor",
-            VAluOp::Sll => "vsll",
-            VAluOp::Srl => "vsrl",
-            VAluOp::Sra => "vsra",
-            VAluOp::Mul => "vmul",
-            VAluOp::Mulh => "vmulh",
-            VAluOp::Mulhu => "vmulhu",
-            VAluOp::Divu => "vdivu",
-            VAluOp::Div => "vdiv",
-            VAluOp::Remu => "vremu",
-            VAluOp::Rem => "vrem",
-        }
-    }
 }
 
 /// Vector integer compare condition — these produce a *mask* in `vd`
@@ -344,19 +284,6 @@ impl VCmp {
     pub const fn has_vi(self) -> bool {
         !matches!(self, VCmp::Ltu | VCmp::Lt)
     }
-
-    fn mnemonic(self) -> &'static str {
-        match self {
-            VCmp::Eq => "vmseq",
-            VCmp::Ne => "vmsne",
-            VCmp::Ltu => "vmsltu",
-            VCmp::Lt => "vmslt",
-            VCmp::Leu => "vmsleu",
-            VCmp::Le => "vmsle",
-            VCmp::Gtu => "vmsgtu",
-            VCmp::Gt => "vmsgt",
-        }
-    }
 }
 
 /// Mask-register logical operation (`vm<op>.mm`).
@@ -380,21 +307,6 @@ pub enum MaskOp {
     Xnor,
 }
 
-impl MaskOp {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            MaskOp::Andn => "vmandn.mm",
-            MaskOp::And => "vmand.mm",
-            MaskOp::Or => "vmor.mm",
-            MaskOp::Xor => "vmxor.mm",
-            MaskOp::Orn => "vmorn.mm",
-            MaskOp::Nand => "vmnand.mm",
-            MaskOp::Nor => "vmnor.mm",
-            MaskOp::Xnor => "vmxnor.mm",
-        }
-    }
-}
-
 /// Single-width integer reduction operation (`vred<op>.vs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VRedOp {
@@ -414,21 +326,6 @@ pub enum VRedOp {
     Maxu,
     /// `vredmax.vs`.
     Max,
-}
-
-impl VRedOp {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            VRedOp::Sum => "vredsum.vs",
-            VRedOp::And => "vredand.vs",
-            VRedOp::Or => "vredor.vs",
-            VRedOp::Xor => "vredxor.vs",
-            VRedOp::Minu => "vredminu.vs",
-            VRedOp::Min => "vredmin.vs",
-            VRedOp::Maxu => "vredmaxu.vs",
-            VRedOp::Max => "vredmax.vs",
-        }
-    }
 }
 
 /// One instruction of the modelled RV64IM + RVV subset.
@@ -745,280 +642,6 @@ impl Instr {
                 | Instr::Ecall
                 | Instr::Ebreak
         )
-    }
-}
-
-fn vm_suffix(vm: bool) -> &'static str {
-    if vm {
-        ""
-    } else {
-        ", v0.t"
-    }
-}
-
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Instr::*;
-        match *self {
-            Lui { rd, imm20 } => write!(f, "lui {rd}, {imm20:#x}"),
-            Auipc { rd, imm20 } => write!(f, "auipc {rd}, {imm20:#x}"),
-            Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
-            Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {offset}({rs1})"),
-            Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                write!(f, "{} {rs1}, {rs2}, {offset}", cond.mnemonic())
-            }
-            Load {
-                width,
-                signed,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let m = match (width, signed) {
-                    (MemWidth::B, true) => "lb",
-                    (MemWidth::B, false) => "lbu",
-                    (MemWidth::H, true) => "lh",
-                    (MemWidth::H, false) => "lhu",
-                    (MemWidth::W, true) => "lw",
-                    (MemWidth::W, false) => "lwu",
-                    (MemWidth::D, _) => "ld",
-                };
-                write!(f, "{m} {rd}, {offset}({rs1})")
-            }
-            Store {
-                width,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let m = match width {
-                    MemWidth::B => "sb",
-                    MemWidth::H => "sh",
-                    MemWidth::W => "sw",
-                    MemWidth::D => "sd",
-                };
-                write!(f, "{m} {rs2}, {offset}({rs1})")
-            }
-            OpImm { op, rd, rs1, imm } => write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic()),
-            Op { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
-            Csrr { rd, csr } => write!(f, "csrr {rd}, {}", csr.name()),
-            Ecall => write!(f, "ecall"),
-            Ebreak => write!(f, "ebreak"),
-            Vsetvli { rd, rs1, vtype } => write!(f, "vsetvli {rd}, {rs1}, {vtype}"),
-            Vsetivli { rd, uimm, vtype } => write!(f, "vsetivli {rd}, {uimm}, {vtype}"),
-            Vsetvl { rd, rs1, rs2 } => write!(f, "vsetvl {rd}, {rs1}, {rs2}"),
-            VLoad { eew, vd, rs1, vm } => {
-                write!(f, "vle{}.v {vd}, ({rs1}){}", eew.bits(), vm_suffix(vm))
-            }
-            VStore { eew, vs3, rs1, vm } => {
-                write!(f, "vse{}.v {vs3}, ({rs1}){}", eew.bits(), vm_suffix(vm))
-            }
-            VLoadStrided {
-                eew,
-                vd,
-                rs1,
-                rs2,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "vlse{}.v {vd}, ({rs1}), {rs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VStoreStrided {
-                eew,
-                vs3,
-                rs1,
-                rs2,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "vsse{}.v {vs3}, ({rs1}), {rs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VLoadIndexed {
-                eew,
-                ordered,
-                vd,
-                rs1,
-                vs2,
-                vm,
-            } => {
-                let o = if ordered { "o" } else { "u" };
-                write!(
-                    f,
-                    "vl{o}xei{}.v {vd}, ({rs1}), {vs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VStoreIndexed {
-                eew,
-                ordered,
-                vs3,
-                rs1,
-                vs2,
-                vm,
-            } => {
-                let o = if ordered { "o" } else { "u" };
-                write!(
-                    f,
-                    "vs{o}xei{}.v {vs3}, ({rs1}), {vs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VLoadWhole { nregs, vd, rs1 } => write!(f, "vl{nregs}re8.v {vd}, ({rs1})"),
-            VStoreWhole { nregs, vs3, rs1 } => write!(f, "vs{nregs}r.v {vs3}, ({rs1})"),
-            VLoadMask { vd, rs1 } => write!(f, "vlm.v {vd}, ({rs1})"),
-            VStoreMask { vs3, rs1 } => write!(f, "vsm.v {vs3}, ({rs1})"),
-            VOpVV {
-                op,
-                vd,
-                vs2,
-                vs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {vs1}{}",
-                    op.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VOpVX {
-                op,
-                vd,
-                vs2,
-                rs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {rs1}{}",
-                    op.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VOpVI {
-                op,
-                vd,
-                vs2,
-                imm,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vi {vd}, {vs2}, {imm}{}",
-                    op.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VCmpVV {
-                cond,
-                vd,
-                vs2,
-                vs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {vs1}{}",
-                    cond.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VCmpVX {
-                cond,
-                vd,
-                vs2,
-                rs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {rs1}{}",
-                    cond.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VCmpVI {
-                cond,
-                vd,
-                vs2,
-                imm,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vi {vd}, {vs2}, {imm}{}",
-                    cond.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VMergeVVM { vd, vs2, vs1 } => write!(f, "vmerge.vvm {vd}, {vs2}, {vs1}, v0"),
-            VMergeVXM { vd, vs2, rs1 } => write!(f, "vmerge.vxm {vd}, {vs2}, {rs1}, v0"),
-            VMergeVIM { vd, vs2, imm } => write!(f, "vmerge.vim {vd}, {vs2}, {imm}, v0"),
-            VMvVV { vd, vs1 } => write!(f, "vmv.v.v {vd}, {vs1}"),
-            VMvVX { vd, rs1 } => write!(f, "vmv.v.x {vd}, {rs1}"),
-            VMvVI { vd, imm } => write!(f, "vmv.v.i {vd}, {imm}"),
-            VMvSX { vd, rs1 } => write!(f, "vmv.s.x {vd}, {rs1}"),
-            VMvXS { rd, vs2 } => write!(f, "vmv.x.s {rd}, {vs2}"),
-            VSlideUpVX { vd, vs2, rs1, vm } => {
-                write!(f, "vslideup.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VSlideUpVI { vd, vs2, uimm, vm } => {
-                write!(f, "vslideup.vi {vd}, {vs2}, {uimm}{}", vm_suffix(vm))
-            }
-            VSlideDownVX { vd, vs2, rs1, vm } => {
-                write!(f, "vslidedown.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VSlideDownVI { vd, vs2, uimm, vm } => {
-                write!(f, "vslidedown.vi {vd}, {vs2}, {uimm}{}", vm_suffix(vm))
-            }
-            VSlide1Up { vd, vs2, rs1, vm } => {
-                write!(f, "vslide1up.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VSlide1Down { vd, vs2, rs1, vm } => {
-                write!(f, "vslide1down.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VRGatherVV { vd, vs2, vs1, vm } => {
-                write!(f, "vrgather.vv {vd}, {vs2}, {vs1}{}", vm_suffix(vm))
-            }
-            VRGatherVX { vd, vs2, rs1, vm } => {
-                write!(f, "vrgather.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VCompress { vd, vs2, vs1 } => write!(f, "vcompress.vm {vd}, {vs2}, {vs1}"),
-            VMaskLogic { op, vd, vs2, vs1 } => {
-                write!(f, "{} {vd}, {vs2}, {vs1}", op.mnemonic())
-            }
-            VIota { vd, vs2, vm } => write!(f, "viota.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VId { vd, vm } => write!(f, "vid.v {vd}{}", vm_suffix(vm)),
-            VCpop { rd, vs2, vm } => write!(f, "vcpop.m {rd}, {vs2}{}", vm_suffix(vm)),
-            VFirst { rd, vs2, vm } => write!(f, "vfirst.m {rd}, {vs2}{}", vm_suffix(vm)),
-            VMsbf { vd, vs2, vm } => write!(f, "vmsbf.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VMsif { vd, vs2, vm } => write!(f, "vmsif.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VMsof { vd, vs2, vm } => write!(f, "vmsof.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VRed {
-                op,
-                vd,
-                vs2,
-                vs1,
-                vm,
-            } => {
-                write!(f, "{} {vd}, {vs2}, {vs1}{}", op.mnemonic(), vm_suffix(vm))
-            }
-        }
     }
 }
 

@@ -18,11 +18,20 @@
 //!   (e.g. all of `vadd.vv`/`vsub.vv`/… are `Instr::VOpVV` with a
 //!   [`VAluOp`]), which keeps the simulator's dispatch compact while still
 //!   modelling every instruction the kernels emit.
+//! * [`table`] — the instruction table: one [`table::Row`] per mnemonic form, with
+//!   its fixed match bits and an ordered list of operand [`table::Field`]s that
+//!   each know their bit position, assembly syntax and range. Every codec
+//!   below is a walk over these rows, so each instruction's facts are
+//!   written once.
 //! * [`encode`]/[`decode`] — the 32-bit binary instruction encoding for the
-//!   whole subset, round-trip tested. The simulator executes the typed form,
-//!   but the encoder exists so that generated kernels are *real* RISC-V
-//!   machine code, byte for byte, and so tests can assert against
-//!   hand-assembled reference encodings from the specifications.
+//!   whole subset, round-trip tested; `decode` accepts only canonical words
+//!   (no don't-care bit set). The simulator executes the typed form, but the
+//!   encoder exists so that generated kernels are *real* RISC-V machine
+//!   code, byte for byte, and so tests can assert against hand-assembled
+//!   reference encodings from the specifications.
+//! * `Display for Instr` and [`parse_asm`] — standard assembly text, written
+//!   and read from the same rows (the assembler in `rvv-asm` adds labels and
+//!   comments on top).
 //! * [`InstrClass`] — the classification used by the simulator's dynamic
 //!   instruction histogram (the paper's metric is Spike's dynamic instruction
 //!   count; the histogram lets the benches break that count down).
@@ -46,6 +55,8 @@ mod decode;
 mod encode;
 mod instr;
 mod reg;
+pub mod table;
+mod text;
 
 pub use class::InstrClass;
 pub use config::{KernelConfig, Lmul, Sew, VType};
@@ -53,6 +64,7 @@ pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};
 pub use instr::{AluOp, BranchCond, Instr, MaskOp, MemWidth, VAluOp, VCmp, VCsr, VRedOp};
 pub use reg::{VReg, XReg};
+pub use text::parse_asm;
 
 /// Convenience result alias for encoding.
 pub type EncodeResult = Result<u32, EncodeError>;

@@ -454,3 +454,42 @@ proptest! {
         let _ = i.to_string();
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16384))]
+
+    /// Words one or two bit flips, or a rewritten funct6/vm or
+    /// opcode/funct3, away from a real encoding: whatever decodes must
+    /// re-encode to the same word, so no don't-care bit is ever accepted.
+    #[test]
+    fn mutated_encodings_decode_canonically(
+        i in instr(),
+        how in 0u32..4,
+        a in any::<u32>(),
+        b in any::<u32>(),
+    ) {
+        let w = encode(&i).expect("generator only produces encodable instructions");
+        let w = match how {
+            0 => w ^ (1 << (a % 32)),
+            1 => w ^ (1 << (a % 32)) ^ (1 << (b % 32)),
+            2 => (w & !(0x7f << 25)) | (a & (0x7f << 25)),
+            _ => (w & !0x707f) | (a & 0x707f),
+        };
+        if let Ok(d) = decode(w) {
+            let re = encode(&d).expect("decoded instruction must re-encode");
+            prop_assert_eq!(re, w, "decode({:#010x}) = {} re-encoded differently", w, d);
+        }
+    }
+}
+
+#[test]
+fn noncanonical_vid_is_rejected() {
+    // vid.v has no vs2 operand: its vs2 field must be zero.
+    let vid = Instr::VId {
+        vd: VReg::new(8),
+        vm: false,
+    };
+    assert_eq!(encode(&vid).unwrap(), 0x5008_a457);
+    assert_eq!(decode(0x5008_a457).unwrap(), vid);
+    assert!(decode(0x5088_a457).is_err());
+}

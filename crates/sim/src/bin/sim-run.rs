@@ -37,6 +37,8 @@ fn main() {
     let mut disasm = false;
     let mut dump: Option<(u64, usize)> = None;
     let mut i = 1;
+    // A flag missing its value is a usage error, not a panic.
+    let arg = |k: usize| args.get(k).map_or_else(|| usage(), String::as_str);
     let parse = |s: &str| -> u64 {
         if let Some(hex) = s.strip_prefix("0x") {
             u64::from_str_radix(hex, 16).unwrap_or_else(|_| usage())
@@ -47,11 +49,11 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--vlen" => {
-                vlen = parse(&args[i + 1]) as u32;
+                vlen = parse(arg(i + 1)) as u32;
                 i += 2;
             }
             "--mem-mib" => {
-                mem_mib = parse(&args[i + 1]) as usize;
+                mem_mib = parse(arg(i + 1)) as usize;
                 i += 2;
             }
             "--disasm" => {
@@ -59,7 +61,7 @@ fn main() {
                 i += 1;
             }
             "--dump-u32" => {
-                dump = Some((parse(&args[i + 1]), parse(&args[i + 2]) as usize));
+                dump = Some((parse(arg(i + 1)), parse(arg(i + 2)) as usize));
                 i += 3;
             }
             a if a.starts_with("--a") => {
@@ -67,7 +69,7 @@ fn main() {
                 if n >= 8 {
                     usage();
                 }
-                regs.push((n, parse(&args[i + 1])));
+                regs.push((n, parse(arg(i + 1))));
                 i += 2;
             }
             _ => usage(),
