@@ -28,12 +28,13 @@ fn differential<T: PartialEq + std::fmt::Debug>(
     name: &str,
     run: impl Fn(&mut ScanEnv) -> ScanResult<T>,
 ) -> ScanResult<T> {
-    let mut plan_env = ScanEnv::paper_default();
     assert_eq!(
-        plan_env.exec_engine(),
-        ExecEngine::Plan,
-        "Plan is the default"
+        ScanEnv::paper_default().exec_engine(),
+        ExecEngine::Fused,
+        "Fused is the default"
     );
+    let mut plan_env = ScanEnv::paper_default();
+    plan_env.set_exec_engine(ExecEngine::Plan);
     let mut legacy_env = ScanEnv::paper_default();
     legacy_env.set_exec_engine(ExecEngine::Legacy);
     let mut fused_env = ScanEnv::paper_default();

@@ -160,7 +160,7 @@ pub fn flag_arg(name: &str) -> bool {
 }
 
 /// Parse `--exec-engine <plan|legacy|fused>`; `None` when the option is
-/// absent (the engine default, `plan`, applies).
+/// absent (the engine default, `fused`, applies).
 pub fn exec_engine_arg() -> Option<scanvec::ExecEngine> {
     let args: Vec<String> = std::env::args().collect();
     for w in args.windows(2) {

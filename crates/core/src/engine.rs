@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// The immutable, shareable execution context (see the module docs).
 ///
 /// Build one with [`Engine::builder`] (or [`Engine::new`] for the
-/// defaults: a fresh plan registry, the [`ExecEngine::Plan`] tier, no
+/// defaults: a fresh plan registry, the [`ExecEngine::Fused`] tier, no
 /// cost model, no fuel budget), wrap it in an [`Arc`], and create
 /// [`Session`]s from it on any thread. Cloning an engine is cheap and
 /// preserves sharing: the clone compiles into the same [`PlanCache`].
@@ -73,7 +73,7 @@ impl EngineHealth {
 
 impl Engine {
     /// An engine with the default policy: fresh plan registry,
-    /// [`ExecEngine::Plan`] run loop, no cost model, no fuel budget.
+    /// [`ExecEngine::Fused`] run loop, no cost model, no fuel budget.
     pub fn new() -> Engine {
         Engine::builder().build()
     }
@@ -177,7 +177,7 @@ impl EngineBuilder {
         self
     }
 
-    /// The run-loop tier sessions start on (default: [`ExecEngine::Plan`]).
+    /// The run-loop tier sessions start on (default: [`ExecEngine::Fused`]).
     pub fn default_exec_engine(mut self, exec: ExecEngine) -> EngineBuilder {
         self.default_exec = exec;
         self

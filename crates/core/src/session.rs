@@ -33,7 +33,8 @@ use rvv_isa::Instr;
 use rvv_isa::{KernelConfig, Lmul, Sew, XReg};
 use rvv_sim::{
     CancelToken, CompiledPlan, FaultAction, FaultHook, Hooked, Machine, MachineConfig, MemAccess,
-    Observer, Program, RunReport, SimError, SimResult, TraceSink, Traced, DEFAULT_FUEL,
+    Observer, Program, RetireEvent, RunReport, SimError, SimResult, TraceSink, Traced,
+    DEFAULT_FUEL,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -151,13 +152,13 @@ pub struct HeapMark(u64);
 /// All engines are architecturally indistinguishable — same results, same
 /// counters, same trace events — so switching engines is purely a host
 /// performance choice. `Legacy` exists for differential testing and for
-/// honest before/after host-throughput measurement; `Fused` is the fastest
-/// tier when programs contain the recognized kernel-shaped windows.
+/// honest before/after host-throughput measurement; `Fused`, the default,
+/// is the fastest tier when programs contain the recognized kernel-shaped
+/// windows and never slower than `Plan` otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Pre-decoded execution plan with SEW-specialized dispatch
-    /// ([`Machine::run_plan`] without `fuse`). The default.
-    #[default]
+    /// ([`Machine::run_plan`] without `fuse`).
     Plan,
     /// The reference decode-classify-dispatch interpreter
     /// ([`Machine::run_legacy`]).
@@ -165,7 +166,8 @@ pub enum ExecEngine {
     /// The plan engine plus peephole-fused superinstruction windows
     /// ([`Machine::run_plan`] with `fuse`): strip-mine bodies, `vv` maps,
     /// scan steps, and whole-register chains execute as single bulk
-    /// kernels.
+    /// kernels. The default.
+    #[default]
     Fused,
 }
 
@@ -229,8 +231,8 @@ pub struct Session {
     tracer: Option<Box<dyn TraceSink>>,
     exec: ExecEngine,
     fault: Option<Box<dyn FaultHook + Send>>,
-    /// Cooperative cancellation flag consulted before every instruction
-    /// while attached (see [`Session::attach_cancel_token`]).
+    /// Cooperative cancellation flag polled at control transfers while
+    /// attached (see [`Session::attach_cancel_token`]).
     cancel: Option<CancelToken>,
     /// `(budget, retired-at-arming)`: a deterministic watchdog. While armed,
     /// kernel launches get `min(DEFAULT_FUEL, budget - spent)` fuel, so a
@@ -246,28 +248,34 @@ pub struct Session {
 pub type ScanEnv = Session;
 
 /// The observer [`Session::run`] launches with while a [`CancelToken`] is
-/// attached: consults the token before each instruction (counting
-/// boundaries so the trap carries the ordinal), then delegates to any
-/// attached fault hook. Trapping *before* the instruction means a
-/// cancelled launch retires nothing past the observed boundary.
-struct CancelCheck<'a> {
+/// attached: polls the token's flag at control transfers and forwards
+/// everything else to `inner` — `()`, or [`Hooked`] when a fault hook is
+/// attached, which stays the only per-instruction path. Over `()` it does
+/// not intercept, so fused windows stay on.
+struct CancelPoll<'a, O> {
     token: &'a CancelToken,
-    seq: u64,
-    inner: Option<&'a mut (dyn FaultHook + Send + 'static)>,
+    inner: O,
 }
 
-impl Observer for CancelCheck<'_> {
-    const INTERCEPTS: bool = true;
+impl<O: Observer> Observer for CancelPoll<'_, O> {
+    const INTERCEPTS: bool = O::INTERCEPTS;
+    const TRACES: bool = O::TRACES;
+    const POLLS: bool = true;
+
+    fn launch(&mut self, program: &Program) {
+        self.inner.launch(program);
+    }
 
     fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction {
-        self.seq += 1;
-        if self.token.check() {
-            return FaultAction::Trap(SimError::Cancelled { seq: self.seq });
-        }
-        match &mut self.inner {
-            Some(h) => h.before(pc, instr, mem),
-            None => FaultAction::Pass,
-        }
+        self.inner.before(pc, instr, mem)
+    }
+
+    fn retire(&mut self, event: &RetireEvent<'_>) {
+        self.inner.retire(event);
+    }
+
+    fn stop(&mut self) -> bool {
+        self.token.is_cancelled()
     }
 }
 
@@ -352,8 +360,8 @@ impl Session {
     /// registers, `vtype`, counters), release every heap allocation, disarm
     /// all memory guards, detach any tracer and fault hook, and restore
     /// the engine's defaults (run-loop tier and fuel budget — for a
-    /// default engine that means [`ExecEngine::Plan`] and no budget, the
-    /// pre-split behavior). Cached plans are **not** dropped — they live
+    /// default engine that means [`ExecEngine::Fused`] and no budget).
+    /// Cached plans are **not** dropped — they live
     /// in the engine's (possibly shared) registry — so a pooled worker
     /// that resets between jobs relaunches kernels with zero
     /// recompilation. Memory contents are not scrubbed; [`Session::alloc`]
@@ -493,16 +501,18 @@ impl Session {
         self.fault.is_some()
     }
 
-    /// Attach a [`CancelToken`]: every subsequent kernel launch consults
-    /// the token before each instruction, at the same retirement-order
-    /// boundary a [`FaultHook`] runs at, in every [`ExecEngine`] tier. A
-    /// launch that observes the token cancelled traps with
+    /// Attach a [`CancelToken`]: every subsequent kernel launch polls the
+    /// token's flag at entry and after each taken jump or branch, in every
+    /// [`ExecEngine`] tier, with no per-instruction work (fused windows
+    /// stay on). A launch that observes the flag raised traps with
     /// [`SimError::Cancelled`] carrying the boundary ordinal and retires
-    /// nothing past it, so partial counters are deterministic for a
-    /// deterministic trip point ([`CancelToken::after_checks`]). Composes
-    /// with an attached fault hook (the token is consulted first) and with
-    /// the fuel watchdog (whichever line is crossed first wins). Like a
-    /// fault hook, an attached token suppresses tracing, and
+    /// nothing past it. A deterministic trip point
+    /// ([`CancelToken::after_checks`]) meters the launch as a fuel cap, so
+    /// it stops at the exact boundary with the same partial counters on
+    /// every tier. Composes with an attached fault hook (a boundary the
+    /// token stops at is not shown to the hook) and with the fuel watchdog
+    /// (whichever line is crossed first wins; on a tie the watchdog).
+    /// Like a fault hook, an attached token suppresses tracing, and
     /// [`Session::reset`] / [`Session::restore`] detach it. Replaces (and
     /// returns) any previously attached token.
     pub fn attach_cancel_token(&mut self, token: CancelToken) -> Option<CancelToken> {
@@ -510,7 +520,7 @@ impl Session {
     }
 
     /// Detach and return the current cancel token. Subsequent launches no
-    /// longer consult it.
+    /// longer poll it.
     pub fn detach_cancel_token(&mut self) -> Option<CancelToken> {
         self.cancel.take()
     }
@@ -825,41 +835,57 @@ impl Session {
             }
             None => (DEFAULT_FUEL, None),
         };
-        // A cancel token is consulted before any fault hook at the same
-        // per-instruction boundary in every tier, so a deterministic trip
-        // point cancels at the same ordinal with the same partial counters
-        // on Plan, Legacy, and Fused alike. A token or hook suppresses
-        // tracing.
+        // A deterministic cancel trip point is a fuel cap: the launch may
+        // pass `passes` more boundaries, and the next one trips. Fuel lands
+        // on the same op boundary in every tier, so the trip cancels at the
+        // same ordinal with the same partial counters on Plan, Legacy and
+        // Fused alike. A token or hook suppresses tracing.
+        let token = self.cancel.as_ref();
+        let passes = token.and_then(CancelToken::passes_left);
+        let cap = passes.map_or(fuel, |p| p.min(fuel));
+        let start = self.machine.counters.total();
         let (exec, m) = (self.exec, &mut self.machine);
-        let report = match (
-            &self.cancel,
-            self.fault.as_deref_mut(),
-            self.tracer.as_deref_mut(),
-        ) {
-            (Some(token), inner, _) => {
-                let mut check = CancelCheck {
-                    token,
-                    seq: 0,
-                    inner,
-                };
-                exec.launch(m, plan, fuel, &mut check)
+        let report = match (token, self.fault.as_deref_mut(), self.tracer.as_deref_mut()) {
+            (Some(token), Some(hook), _) => {
+                let inner = Hooked(hook);
+                exec.launch(m, plan, cap, &mut CancelPoll { token, inner })
             }
-            (None, Some(hook), _) => exec.launch(m, plan, fuel, &mut Hooked(hook)),
-            (None, None, Some(sink)) => exec.launch(m, plan, fuel, &mut Traced(sink)),
-            (None, None, None) => exec.launch(m, plan, fuel, &mut ()),
+            (Some(token), None, _) => {
+                exec.launch(m, plan, cap, &mut CancelPoll { token, inner: () })
+            }
+            (None, Some(hook), _) => exec.launch(m, plan, cap, &mut Hooked(hook)),
+            (None, None, Some(sink)) => exec.launch(m, plan, cap, &mut Traced(sink)),
+            (None, None, None) => exec.launch(m, plan, cap, &mut ()),
         };
         // The run loop is the only source of `FuelExhausted`, and it always
         // carries the launch's metered fuel (injected fuel faults trap as
         // `SimError::InjectedFault` — see `rvv-fault` — and pass through
-        // unrewritten). So when the budget line lies inside this launch,
-        // exhausting the metered allocation *is* the watchdog firing:
-        // report the budget.
+        // unrewritten). Exhausting a trip cap strictly below the fuel line
+        // is the token tripping; on a tie the fuel line is reported, since
+        // fuel is checked before a boundary is consulted. And when the
+        // budget line lies inside this launch, exhausting the metered
+        // allocation *is* the watchdog firing: report the budget.
         let report = report.map_err(|e| match (e, watchdog) {
+            (SimError::FuelExhausted { fuel: f }, _) if f == cap && cap < fuel => {
+                SimError::Cancelled { seq: cap + 1 }
+            }
             (SimError::FuelExhausted { fuel: f }, Some(b)) if f == fuel => {
                 SimError::FuelExhausted { fuel: b }
             }
             (e, _) => e,
-        })?;
+        });
+        // Record the boundaries this launch passed: one per retired
+        // instruction, plus the one it stopped at when an instruction was
+        // refused or trapped (fuel and bad-jump traps stop before it).
+        if let Some(token) = &self.cancel {
+            let retired = self.machine.counters.total() - start;
+            let stopped_at = match &report {
+                Ok(_) | Err(SimError::FuelExhausted { .. } | SimError::BadControlFlow { .. }) => 0,
+                Err(_) => 1,
+            };
+            token.advance(retired + stopped_at);
+        }
+        let report = report?;
         Ok((report, self.machine.xreg(XReg::arg(0))))
     }
 
@@ -1026,8 +1052,10 @@ mod tests {
     fn engines_agree_and_share_the_kernel_cache() {
         use crate::primitives::p_add;
         let mut plan_env = ScanEnv::paper_default();
+        plan_env.set_exec_engine(ExecEngine::Plan);
         let mut legacy_env = ScanEnv::paper_default();
         legacy_env.set_exec_engine(ExecEngine::Legacy);
+        assert_eq!(ScanEnv::paper_default().exec_engine(), ExecEngine::Fused);
         assert_eq!(plan_env.exec_engine(), ExecEngine::Plan);
         assert_eq!(legacy_env.exec_engine(), ExecEngine::Legacy);
         let data: Vec<u32> = (0..137).map(|i| i * 3 + 1).collect();

@@ -632,10 +632,6 @@ fn major(word: u32) -> usize {
     ((word & 0x7f) | ((word >> 5) & 0x380)) as usize
 }
 
-/// Standard spellings the assembler accepts besides the ones `Display`
-/// writes.
-const ALIASES: &[(&str, &str)] = &[("sltiu", "sltui")];
-
 struct Table {
     rows: Vec<Row>,
     by_key: HashMap<Instr, usize>,
@@ -649,14 +645,11 @@ fn table() -> &'static Table {
     TABLE.get_or_init(|| {
         let rows = build();
         let by_key = rows.iter().enumerate().map(|(i, r)| (r.key, i)).collect();
-        let mut by_mnemonic: HashMap<String, usize> = rows
+        let by_mnemonic = rows
             .iter()
             .enumerate()
             .map(|(i, r)| (r.mnemonic.clone(), i))
             .collect();
-        for &(alias, name) in ALIASES {
-            by_mnemonic.insert(alias.to_string(), by_mnemonic[name]);
-        }
         let by_major = (0..1024u32)
             .map(|m| {
                 let word = (m & 0x7f) | (m >> 7) << 12;
@@ -745,7 +738,7 @@ fn build() -> Vec<Row> {
         add(m, OPC_STORE | funct3 << 12, &[Xs2, StoreOff, Base], key);
     }
     // The register form is the stem; the immediate form, where the op has
-    // one, is the stem plus `i`.
+    // one, is the stem plus `i`, written before an unsigned `u` (`sltiu`).
     for (op, stem, funct7, funct3) in [
         (AluOp::Add, "add", 0b0000000, 0b000),
         (AluOp::Sub, "sub", 0b0100000, 0b000),
@@ -780,16 +773,15 @@ fn build() -> Vec<Row> {
             imm: 0,
         };
         let i = OPC_OP_IMM | funct3 << 12;
+        let imm = match stem.strip_suffix('u') {
+            Some(signed) => format!("{signed}iu"),
+            None => format!("{stem}i"),
+        };
         // A shift's funct7 sits above its 6-bit shamt.
         if op.is_shift() {
-            add(
-                &format!("{stem}i"),
-                i | funct7 << 25,
-                &[Xd, Xs1, Shamt],
-                key,
-            );
+            add(&imm, i | funct7 << 25, &[Xd, Xs1, Shamt], key);
         } else if op.has_imm_form() {
-            add(&format!("{stem}i"), i, &[Xd, Xs1, Imm12], key);
+            add(&imm, i, &[Xd, Xs1, Imm12], key);
         }
     }
     // `csrr rd, csr` is `csrrs rd, csr, x0`.
@@ -1315,7 +1307,7 @@ mod tests {
     fn keys_and_mnemonics_are_unique() {
         let t = table();
         assert_eq!(t.by_key.len(), t.rows.len());
-        assert_eq!(t.by_mnemonic.len(), t.rows.len() + ALIASES.len());
+        assert_eq!(t.by_mnemonic.len(), t.rows.len());
     }
 
     #[test]

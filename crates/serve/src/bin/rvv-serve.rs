@@ -45,7 +45,7 @@ fn usage() -> ! {
          \x20 --retries N             retries per failed job (default 1)\n\
          \x20 --inject-seed N         chaos seed (deterministic shed/latency/faults)\n\
          \x20 --crash-after N         abort() after the Nth journaled completion (test harness)\n\
-         \x20 --exec-engine NAME      execution tier (plan, legacy, fused)\n\
+         \x20 --exec-engine NAME      execution tier (plan, legacy, fused; default fused)\n\
          \x20 --breaker-threshold N   consecutive poisons before quarantine (default 3)\n\
          \x20 --watchdog FUEL         per-attempt instruction budget (default 1000000000)"
     );

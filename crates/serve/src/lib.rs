@@ -13,8 +13,9 @@
 //!   results verbatim and re-runs pending ones, so sweep digests are
 //!   byte-identical to an uninterrupted run.
 //! * **Deadlines** — a supervisor thread cancels overdue jobs
-//!   cooperatively ([`scanvec::CancelToken`] observed at instruction
-//!   boundaries in every execution tier).
+//!   cooperatively ([`scanvec::CancelToken`] polled at launch entry and
+//!   after each taken jump or branch, the same boundaries in every
+//!   execution tier; armed jobs keep the fused tier).
 //! * **Bounded everything** — admission control sheds work beyond the
 //!   configured queue depth (429 + Retry-After), request heads and bodies
 //!   are size-capped, retries are bounded and spaced by deterministic

@@ -48,7 +48,7 @@ pub struct ServeOptions {
     /// records have been journaled — a deterministic stand-in for
     /// `kill -9` mid-drain that the recovery tests drive.
     pub crash_after: Option<u64>,
-    /// Execution tier sessions run on.
+    /// Execution tier sessions run on (default [`ExecEngine::Fused`]).
     pub exec: ExecEngine,
     /// Consecutive poisoned (panicked) jobs on one configuration before
     /// its circuit breaker opens and further jobs are quarantined.
@@ -72,7 +72,7 @@ impl Default for ServeOptions {
             retries: 1,
             inject_seed: None,
             crash_after: None,
-            exec: ExecEngine::Plan,
+            exec: ExecEngine::default(),
             breaker_threshold: 3,
             watchdog: Some(1_000_000_000),
             storage: None,
@@ -490,7 +490,7 @@ impl ServeState {
 
     /// Supervisor tick: cancel every registered token whose deadline has
     /// passed. Cancellation is cooperative — the worker observes the token
-    /// at the next instruction boundary and reports `Cancelled`.
+    /// at its next taken jump or branch and reports `Cancelled`.
     pub fn cancel_overdue(&self, now: Instant) -> usize {
         let mut deadlines = self.lock(&self.deadlines);
         let mut fired = 0;

@@ -88,13 +88,13 @@ pub enum SimError {
     /// A cooperative [`CancelToken`](crate::CancelToken) tripped at an
     /// instruction boundary — the run was asked to stop (deadline expired,
     /// client went away, shutdown in progress). Like `InjectedFault`, never
-    /// raised by ordinary execution. Because the token is consulted at the
-    /// same retirement-order boundary in every engine tier, the boundary
-    /// ordinal `seq` is identical across Plan, Legacy, and Fused for the
-    /// same deterministic trip point.
+    /// raised by ordinary execution. The token is polled at the same
+    /// boundaries in every engine tier, and a deterministic trip point is
+    /// a fuel cap, so the boundary ordinal `seq` is identical across Plan,
+    /// Legacy, and Fused for the same deterministic trip point.
     Cancelled {
-        /// The 1-based ordinal of the instruction boundary where the token
-        /// was observed cancelled.
+        /// The 1-based ordinal, within the launch, of the instruction
+        /// boundary where the run stopped: its retired count plus one.
         seq: u64,
     },
 }

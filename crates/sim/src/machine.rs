@@ -89,8 +89,9 @@ pub struct Machine {
     /// allocates.
     pub(crate) cmp_scratch: Vec<u64>,
     /// PC at which the last run loop paused with
-    /// [`SimError::FuelExhausted`] — the precise `start_pc` to resume
-    /// from. Captured by snapshots.
+    /// [`SimError::FuelExhausted`] or was stopped by its observer
+    /// ([`SimError::Cancelled`]) — the precise `start_pc` to resume from.
+    /// Captured by snapshots.
     pub(crate) stop_pc: u64,
 }
 
@@ -119,9 +120,9 @@ impl Machine {
         }
     }
 
-    /// PC at which the last run loop paused with fuel exhaustion — pass it
-    /// as the `start_pc` of a run on any tier to continue exactly where the
-    /// run stopped. Zero until a run has paused.
+    /// PC at which the last run loop paused with fuel exhaustion or a
+    /// polled stop — pass it as the `start_pc` of a run on any tier to
+    /// continue exactly where the run stopped. Zero until a run has paused.
     #[inline]
     pub fn stop_pc(&self) -> u64 {
         self.stop_pc

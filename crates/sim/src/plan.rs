@@ -1692,8 +1692,10 @@ impl Machine {
     /// windows execute as single bulk kernels, tallied in
     /// [`Machine::fused_stats`] — unless the observer intercepts
     /// ([`Observer::INTERCEPTS`]): it must see every instruction boundary
-    /// and a window has none inside it. Without `fuse` the plan's fusion
-    /// table is never built.
+    /// and a window has none inside it. A polling observer
+    /// ([`Observer::POLLS`]) keeps windows on: it is only polled at
+    /// control transfers, which never sit inside a window. Without `fuse`
+    /// the plan's fusion table is never built.
     ///
     /// Resuming from [`Machine::stop_pc`] after a
     /// [`SimError::FuelExhausted`] pause, on any tier, retires exactly the
@@ -1734,6 +1736,8 @@ impl Machine {
         // A retired jump to an invalid target traps on the *next* iteration,
         // after the fuel check — exactly the legacy loop's ordering.
         let mut bad: Option<u64> = (!start_pc.is_multiple_of(4)).then_some(start_pc);
+        // A polling observer is asked at entry and after each taken jump.
+        let mut poll = O::POLLS;
         loop {
             let seq = self.counters.total() - before;
             if seq >= fuel {
@@ -1742,6 +1746,13 @@ impl Machine {
             }
             if let Some(target) = bad {
                 return Err(SimError::BadControlFlow { target });
+            }
+            if O::POLLS && poll {
+                poll = false;
+                if obs.stop() {
+                    self.stop_pc = (at as u64) * 4;
+                    return Err(SimError::Cancelled { seq: seq + 1 });
+                }
             }
             // Window fast path: only with enough fuel for the whole window
             // (otherwise per-op execution exhausts fuel at the exact op the
@@ -1809,7 +1820,10 @@ impl Machine {
             }
             match flow {
                 Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
+                Flow::To(i) => {
+                    at = i;
+                    poll = O::POLLS;
+                }
                 Flow::Cfg => {
                     key = vtype_key(self);
                     at += 1;

@@ -168,6 +168,7 @@ impl Machine {
         let before = self.counters.total();
         let len = program.instrs.len() as u64;
         let mut pc: u64 = start_pc;
+        let mut poll = O::POLLS;
         loop {
             let seq = self.counters.total() - before;
             if seq >= fuel {
@@ -176,6 +177,13 @@ impl Machine {
             }
             if !pc.is_multiple_of(4) || pc / 4 >= len {
                 return Err(SimError::BadControlFlow { target: pc });
+            }
+            if O::POLLS && poll {
+                poll = false;
+                if obs.stop() {
+                    self.stop_pc = pc;
+                    return Err(SimError::Cancelled { seq: seq + 1 });
+                }
             }
             let fetched = &program.instrs[(pc / 4) as usize];
             let replaced = if O::INTERCEPTS {
@@ -195,7 +203,10 @@ impl Machine {
             }
             match ctl {
                 Control::Next => pc += 4,
-                Control::Jump(target) => pc = target,
+                Control::Jump(target) => {
+                    pc = target;
+                    poll = O::POLLS;
+                }
                 Control::Halt => {
                     return Ok(RunReport {
                         retired: self.counters.total() - before,
@@ -454,6 +465,50 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(planned.xreg(XReg::new(5)), legacy.xreg(XReg::new(5)));
         assert_eq!(planned.counters, legacy.counters);
+    }
+
+    #[test]
+    fn polls_happen_at_entry_and_taken_jumps_on_every_loop() {
+        /// Stops at its `n`th poll (1-based), counting every poll.
+        struct StopAt {
+            n: u64,
+            polls: u64,
+        }
+        impl Observer for StopAt {
+            const POLLS: bool = true;
+            fn stop(&mut self) -> bool {
+                self.polls += 1;
+                self.polls == self.n
+            }
+        }
+        let plan = crate::plan::CompiledPlan::compile(countdown());
+        // Plan tier, fused tier, reference loop.
+        let run = |tier: usize, m: &mut Machine, o: &mut StopAt| match tier {
+            0 => m.run_plan(&plan, 1000, 0, false, o),
+            1 => m.run_plan(&plan, 1000, 0, true, o),
+            _ => m.run_legacy(plan.program(), 1000, 0, o),
+        };
+        for tier in 0..3 {
+            // One poll at entry and one after each of the four taken `bne`s.
+            let mut obs = StopAt { n: 0, polls: 0 };
+            assert_eq!(run(tier, &mut m(), &mut obs).unwrap().retired, 12);
+            assert_eq!(obs.polls, 5);
+            let mut m = m();
+            let mut obs = StopAt { n: 1, polls: 0 };
+            let r = run(tier, &mut m, &mut obs);
+            assert!(matches!(r, Err(SimError::Cancelled { seq: 1 })), "{r:?}");
+            assert_eq!(m.counters.total(), 0);
+            // The second poll follows `li`, `addi` and the first taken `bne`.
+            let mut obs = StopAt { n: 2, polls: 0 };
+            let r = run(tier, &mut m, &mut obs);
+            assert!(matches!(r, Err(SimError::Cancelled { seq: 4 })), "{r:?}");
+            assert_eq!((m.counters.total(), m.stop_pc()), (3, 4));
+            // Resuming at the stop PC finishes the run.
+            let rest = m
+                .run_plan(&plan, 1000, m.stop_pc(), false, &mut ())
+                .unwrap();
+            assert_eq!((rest.retired, m.xreg(XReg::new(5))), (9, 0));
+        }
     }
 
     #[test]
