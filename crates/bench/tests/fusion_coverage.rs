@@ -1,7 +1,8 @@
 //! Fusion-coverage golden: for each primitive and algorithm, the exact
-//! number of superinstruction windows the fused tier commits and the exact
-//! number of instructions retired through fused kernels, pinned against a
-//! checked-in fixture.
+//! number of superinstruction windows the fused tier commits, the exact
+//! number of instructions retired through fused kernels, and the number of
+//! window attempts whose kernel declined (fell back to per-op execution),
+//! pinned against a checked-in fixture.
 //!
 //! Coverage is a *static-plus-dynamic* property of the generated code: a
 //! codegen change that breaks a window shape (say, reordering the scan
@@ -32,15 +33,16 @@ fn fused_env() -> ScanEnv {
 
 /// Run one workload on a fresh fused-tier environment and format its
 /// coverage line: windows committed, ops retired through fused kernels,
-/// and total retired.
+/// declined window attempts, and total retired.
 fn coverage(name: &str, run: impl FnOnce(&mut ScanEnv) -> ScanResult<()>) -> String {
     let mut env = fused_env();
     run(&mut env).unwrap_or_else(|e| panic!("{name}: {e:?}"));
     let stats = env.fused_stats();
     format!(
-        "{name}: windows = {}, fused_ops = {}, retired = {}\n",
+        "{name}: windows = {}, fused_ops = {}, declined = {}, retired = {}\n",
         stats.windows,
         stats.ops,
+        stats.declined,
         env.retired()
     )
 }

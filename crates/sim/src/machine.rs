@@ -65,6 +65,10 @@ pub struct FusedStats {
     pub windows: u64,
     /// Instructions retired through fused kernels (sum of window lengths).
     pub ops: u64,
+    /// Windows reached with enough fuel whose kernel declined (a
+    /// precondition failed: overlap, misalignment, an out-of-bounds or
+    /// guarded range, a SEW mismatch, `vill`), so the window ran per-op.
+    pub declined: u64,
 }
 
 /// The complete architectural state of the simulated hart.
@@ -84,9 +88,9 @@ pub struct Machine {
     /// Fused-tier activity tally (see [`FusedStats`]). Zeroed by
     /// [`Machine::reset_cpu`] and [`Machine::restore`]; never snapshotted.
     pub fused_stats: FusedStats,
-    /// Reusable staging buffer for compare-to-mask kernels (two packed
-    /// bitsets). Not architectural state — only here so the hot path never
-    /// allocates.
+    /// Reusable staging buffer for the plan and fused tiers' compare
+    /// kernels (one packed result word per 64 elements). Not architectural
+    /// state — only here so the hot path never allocates.
     pub(crate) cmp_scratch: Vec<u64>,
     /// PC at which the last run loop paused with
     /// [`SimError::FuelExhausted`] or was stopped by its observer

@@ -231,6 +231,29 @@ impl Memory {
         Ok(())
     }
 
+    /// Write the `elem`-byte chunks of `data` whose index passes `keep` to
+    /// `addr + i·elem`, after one bounds-and-guard check of the whole
+    /// `[addr, addr + data.len())`. Only the pages under written chunks are
+    /// marked dirty — exactly what one [`Memory::store`] per kept chunk
+    /// would mark — so a masked store leaves snapshots unchanged.
+    pub(crate) fn write_chunks(
+        &mut self,
+        addr: u64,
+        data: &[u8],
+        elem: usize,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> SimResult<()> {
+        self.check(addr, data.len() as u64)?;
+        for (i, c) in data.chunks_exact(elem).enumerate() {
+            if keep(i) {
+                let at = addr as usize + i * elem;
+                self.mark_dirty(at as u64, elem as u64);
+                self.bytes[at..at + elem].copy_from_slice(c);
+            }
+        }
+        Ok(())
+    }
+
     /// Host-side load: bounds-checked but **guard-exempt**. Guard regions
     /// model device-side buffer overruns; the host runtime staging inputs
     /// and reading back results is not simulated execution and must be able

@@ -477,6 +477,10 @@ type VSlideFn = fn(&mut Machine, SlideKind, VReg, VReg, SlideOff, bool) -> SimRe
 type VMemFn = fn(&mut Machine, VReg, XReg, bool) -> SimResult<()>;
 type VMemStrideFn = fn(&mut Machine, VReg, XReg, XReg, bool) -> SimResult<()>;
 type IdxMemFn = fn(&mut Machine, VReg, XReg, VReg, bool) -> SimResult<()>;
+type VIotaFn = fn(&mut Machine, VReg, VReg, bool) -> SimResult<()>;
+type VIdFn = fn(&mut Machine, VReg, bool) -> SimResult<()>;
+type VMvSxFn = fn(&mut Machine, VReg, XReg) -> SimResult<()>;
+type VMvXsFn = fn(&mut Machine, XReg, VReg) -> SimResult<()>;
 
 fn valu_exec<E: Elem, O: BinOp>(
     m: &mut Machine,
@@ -618,55 +622,6 @@ fn vmerge_scalar<E: Elem>(m: &mut Machine, vd: VReg, vs2: VReg, x: u64) -> SimRe
     Ok(())
 }
 
-fn vcmp_exec<E: Elem, C: CmpOp>(
-    m: &mut Machine,
-    vd: VReg,
-    vs2: VReg,
-    src: VSrc,
-    vm: bool,
-) -> SimResult<()> {
-    let (t, vl) = m.vcfg()?;
-    if let VSrc::V(vs1) = src {
-        m.check_group(vs1, t.lmul)?;
-    }
-    m.check_group(vs2, t.lmul)?;
-    let b_const = match src {
-        VSrc::V(_) => 0,
-        VSrc::X(rs1) => m.xreg(rs1) & E::MAX,
-        VSrc::I(imm) => imm & E::MAX,
-    };
-    // Stage results in two packed bitsets (set, valid) so a destination
-    // overlapping a source group is well-defined — same staging the legacy
-    // interpreter does, but in a machine-resident scratch buffer instead of
-    // a fresh Vec<Option<bool>> per compare.
-    let words = vl.div_ceil(64) as usize;
-    let mut scratch = std::mem::take(&mut m.cmp_scratch);
-    scratch.clear();
-    scratch.resize(2 * words, 0);
-    let (set_bits, valid_bits) = scratch.split_at_mut(words);
-    for i in 0..vl {
-        if m.active(vm, i) {
-            let a = E::get(m, vs2, i);
-            let b = match src {
-                VSrc::V(vs1) => E::get(m, vs1, i),
-                _ => b_const,
-            };
-            valid_bits[(i / 64) as usize] |= 1u64 << (i % 64);
-            if C::cmp::<E>(a, b) {
-                set_bits[(i / 64) as usize] |= 1u64 << (i % 64);
-            }
-        }
-    }
-    for i in 0..vl {
-        if valid_bits[(i / 64) as usize] & (1u64 << (i % 64)) != 0 {
-            let v = set_bits[(i / 64) as usize] & (1u64 << (i % 64)) != 0;
-            m.set_mask_bit(vd, i, v);
-        }
-    }
-    m.cmp_scratch = scratch;
-    Ok(())
-}
-
 fn vslide_exec<E: Elem>(
     m: &mut Machine,
     kind: SlideKind,
@@ -746,11 +701,34 @@ fn vslide_exec<E: Elem>(
     Ok(())
 }
 
+/// Unit-stride load. One bounds-and-guard check of the whole range
+/// `[base, base + vl·EEW)` replaces the per-element ones; when it fails, the
+/// per-element loop runs instead and raises the exact trap (faulting
+/// element address, earlier elements already written). Inactive elements
+/// never touch memory either way.
 fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimResult<()> {
     let regs = m.emul_regs(E::SEW)?;
     m.check_emul_group(vd, regs)?;
     let (_, vl) = m.vcfg()?;
     let base = m.xreg(rs1);
+    let bytes = vl as usize * E::BYTES;
+    let off = mask::reg_off(m, vd);
+    let (mem, vregs) = m.mem_and_vregs();
+    if let Ok(src) = mem.read_bytes(base, bytes as u64) {
+        if vm {
+            vregs[off..off + bytes].copy_from_slice(src);
+        } else {
+            // The mask is read live, element by element: with vd = v0 an
+            // element write changes later mask bits, exactly as it does
+            // per element.
+            for (i, c) in src.chunks_exact(E::BYTES).enumerate() {
+                if vregs[i / 8] & (1 << (i % 8)) != 0 {
+                    vregs[off + i * E::BYTES..][..E::BYTES].copy_from_slice(c);
+                }
+            }
+        }
+        return Ok(());
+    }
     for i in 0..vl {
         if m.active(vm, i) {
             let addr = base.wrapping_add(i as u64 * E::BYTES as u64);
@@ -761,11 +739,26 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     Ok(())
 }
 
+/// Unit-stride store, with the one-check bulk path of [`vload_unit`]; a
+/// masked store writes (and dirties the pages of) active elements only.
 fn vstore_unit<E: Elem>(m: &mut Machine, vs3: VReg, rs1: XReg, vm: bool) -> SimResult<()> {
     let regs = m.emul_regs(E::SEW)?;
     m.check_emul_group(vs3, regs)?;
     let (_, vl) = m.vcfg()?;
     let base = m.xreg(rs1);
+    let bytes = vl as usize * E::BYTES;
+    let off = mask::reg_off(m, vs3);
+    let (mem, vregs) = m.mem_and_vregs();
+    let vregs: &[u8] = vregs;
+    let data = &vregs[off..off + bytes];
+    let bulk = if vm {
+        mem.write_bytes(base, data)
+    } else {
+        mem.write_chunks(base, data, E::BYTES, |i| vregs[i / 8] & (1 << (i % 8)) != 0)
+    };
+    if bulk.is_ok() {
+        return Ok(());
+    }
     for i in 0..vl {
         if m.active(vm, i) {
             let addr = base.wrapping_add(i as u64 * E::BYTES as u64);
@@ -918,10 +911,10 @@ fn resolve_vcmp(cond: VCmp, sew: Sew) -> VCmpFn {
     macro_rules! k {
         ($c:ty) => {
             match sew {
-                Sew::E8 => vcmp_exec::<u8, $c>,
-                Sew::E16 => vcmp_exec::<u16, $c>,
-                Sew::E32 => vcmp_exec::<u32, $c>,
-                Sew::E64 => vcmp_exec::<u64, $c>,
+                Sew::E8 => mask::vcmp_exec::<u8, $c>,
+                Sew::E16 => mask::vcmp_exec::<u16, $c>,
+                Sew::E32 => mask::vcmp_exec::<u32, $c>,
+                Sew::E64 => mask::vcmp_exec::<u64, $c>,
             }
         };
     }
@@ -996,7 +989,9 @@ fn resolve_vstore_indexed(eew: Sew, sew: Sew) -> IdxMemFn {
 // ---------------------------------------------------------------- lowering --
 
 /// The executable form of one instruction. Everything resolvable without
-/// machine state is resolved here; `Generic` routes the remaining families
+/// machine state is resolved here, the mask group included (its packed-word
+/// kernels live in `plan/mask.rs`); `Generic` routes the remaining
+/// families — reductions, gathers, compress, and mask loads/stores —
 /// through the legacy dispatcher (with the class still pre-computed).
 #[derive(Debug)]
 enum OpKind {
@@ -1141,6 +1136,46 @@ enum OpKind {
         nregs: u8,
         vs3: VReg,
         rs1: XReg,
+    },
+    MaskLogic {
+        f: fn(u64, u64) -> u64,
+        vd: VReg,
+        vs2: VReg,
+        vs1: VReg,
+    },
+    /// `vcpop.m` (`first == false`) or `vfirst.m`.
+    MaskCount {
+        first: bool,
+        rd: XReg,
+        vs2: VReg,
+        vm: bool,
+    },
+    MaskFirst {
+        kind: mask::FirstKind,
+        vd: VReg,
+        vs2: VReg,
+        vm: bool,
+    },
+    VIota {
+        f: KCache<VIotaFn>,
+        vd: VReg,
+        vs2: VReg,
+        vm: bool,
+    },
+    VId {
+        f: KCache<VIdFn>,
+        vd: VReg,
+        vm: bool,
+    },
+    VMvSX {
+        f: KCache<VMvSxFn>,
+        vd: VReg,
+        rs1: XReg,
+    },
+    VMvXS {
+        f: KCache<VMvXsFn>,
+        rd: XReg,
+        vs2: VReg,
     },
     Generic {
         idx: u32,
@@ -1460,8 +1495,65 @@ fn lower(idx: usize, ins: &Instr, len: usize) -> OpKind {
         },
         VLoadWhole { nregs, vd, rs1 } => OpKind::VLoadWhole { nregs, vd, rs1 },
         VStoreWhole { nregs, vs3, rs1 } => OpKind::VStoreWhole { nregs, vs3, rs1 },
-        // Reductions, mask group, gathers/compress, mask loads/stores, and
-        // scalar-element moves stay on the legacy dispatcher.
+        VMaskLogic { op, vd, vs2, vs1 } => OpKind::MaskLogic {
+            f: mask::mask_logic_fn(op),
+            vd,
+            vs2,
+            vs1,
+        },
+        VCpop { rd, vs2, vm } => OpKind::MaskCount {
+            first: false,
+            rd,
+            vs2,
+            vm,
+        },
+        VFirst { rd, vs2, vm } => OpKind::MaskCount {
+            first: true,
+            rd,
+            vs2,
+            vm,
+        },
+        VMsbf { vd, vs2, vm } => OpKind::MaskFirst {
+            kind: mask::FirstKind::Before,
+            vd,
+            vs2,
+            vm,
+        },
+        VMsif { vd, vs2, vm } => OpKind::MaskFirst {
+            kind: mask::FirstKind::Including,
+            vd,
+            vs2,
+            vm,
+        },
+        VMsof { vd, vs2, vm } => OpKind::MaskFirst {
+            kind: mask::FirstKind::Only,
+            vd,
+            vs2,
+            vm,
+        },
+        VIota { vd, vs2, vm } => OpKind::VIota {
+            f: KCache::new(),
+            vd,
+            vs2,
+            vm,
+        },
+        VId { vd, vm } => OpKind::VId {
+            f: KCache::new(),
+            vd,
+            vm,
+        },
+        VMvSX { vd, rs1 } => OpKind::VMvSX {
+            f: KCache::new(),
+            vd,
+            rs1,
+        },
+        VMvXS { rd, vs2 } => OpKind::VMvXS {
+            f: KCache::new(),
+            rd,
+            vs2,
+        },
+        // Reductions, gathers/compress, and mask loads/stores stay on the
+        // legacy dispatcher.
         _ => OpKind::Generic { idx: idx as u32 },
     }
 }
@@ -1673,6 +1765,38 @@ impl OpKind {
                 m.vstore_whole_fast(*nregs, *vs3, *rs1)?;
                 Ok(Flow::Seq)
             }
+            OpKind::MaskLogic { f, vd, vs2, vs1 } => {
+                mask::mask_logic(m, *f, *vd, *vs2, *vs1)?;
+                Ok(Flow::Seq)
+            }
+            OpKind::MaskCount { first, rd, vs2, vm } => {
+                mask::mask_count(m, *first, *rd, *vs2, *vm)?;
+                Ok(Flow::Seq)
+            }
+            OpKind::MaskFirst { kind, vd, vs2, vm } => {
+                mask::mask_first(m, *kind, *vd, *vs2, *vm)?;
+                Ok(Flow::Seq)
+            }
+            OpKind::VIota { f, vd, vs2, vm } => {
+                let k = f.lookup(key, |sew| by_sew!(sew, viota_exec))?;
+                k(m, *vd, *vs2, *vm)?;
+                Ok(Flow::Seq)
+            }
+            OpKind::VId { f, vd, vm } => {
+                let k = f.lookup(key, |sew| by_sew!(sew, vid_exec))?;
+                k(m, *vd, *vm)?;
+                Ok(Flow::Seq)
+            }
+            OpKind::VMvSX { f, vd, rs1 } => {
+                let k = f.lookup(key, |sew| by_sew!(sew, vmv_sx_exec))?;
+                k(m, *vd, *rs1)?;
+                Ok(Flow::Seq)
+            }
+            OpKind::VMvXS { f, rd, vs2 } => {
+                let k = f.lookup(key, |sew| by_sew!(sew, vmv_xs_exec))?;
+                k(m, *rd, *vs2)?;
+                Ok(Flow::Seq)
+            }
             OpKind::Generic { idx } => {
                 let i = *idx as usize;
                 let ctl = m.exec_inner((i as u64) * 4, &plan.source.instrs[i])?;
@@ -1757,24 +1881,29 @@ impl Machine {
             // Window fast path: only with enough fuel for the whole window
             // (otherwise per-op execution exhausts fuel at the exact op the
             // plan tier would) and only when every precondition holds. Window
-            // ops never touch `xregs`, `vl`, or `vtype`, and `mem_footprint`
-            // is a pure function of those, so their events can be assembled
-            // after the bulk kernel without observable difference.
+            // ops never touch `vl` or `vtype`, and write at most one xreg —
+            // in the last op, never a memory op's base — and `mem_footprint`
+            // reads only those and the base xregs, so their events can be
+            // assembled after the bulk kernel without observable difference
+            // (see the event contract in `plan/fused.rs`).
             if let Some(w) = table.and_then(|t| t.at(at)) {
                 let len = w.len as usize;
-                if fuel - seq >= len as u64 && w.try_execute(self, key) {
-                    for (k, op) in plan.ops[at..at + len].iter().enumerate() {
-                        self.counters.retire_class(op.class);
-                        if O::TRACES {
-                            let pc = ((at + k) as u64) * 4;
-                            let instr = &plan.source.instrs[at + k];
-                            obs.retire(&self.retire_event(pc, instr, op.class, seq + k as u64));
+                if fuel - seq >= len as u64 {
+                    if w.try_execute(self, key) {
+                        for (k, op) in plan.ops[at..at + len].iter().enumerate() {
+                            self.counters.retire_class(op.class);
+                            if O::TRACES {
+                                let pc = ((at + k) as u64) * 4;
+                                let instr = &plan.source.instrs[at + k];
+                                obs.retire(&self.retire_event(pc, instr, op.class, seq + k as u64));
+                            }
                         }
+                        self.fused_stats.windows += 1;
+                        self.fused_stats.ops += len as u64;
+                        at += len;
+                        continue;
                     }
-                    self.fused_stats.windows += 1;
-                    self.fused_stats.ops += len as u64;
-                    at += len;
-                    continue;
+                    self.fused_stats.declined += 1;
                 }
             }
             let Some(op) = plan.ops.get(at) else {
@@ -1841,7 +1970,9 @@ impl Machine {
 }
 
 // Declared *after* the `by_sew!`/`binop!` macro definitions so the child
-// module sees them through textual macro scoping.
+// modules see them through textual macro scoping.
 pub(crate) mod fused;
+mod mask;
+use mask::{vid_exec, viota_exec, vmv_sx_exec, vmv_xs_exec};
 
 // PLAN_TESTS

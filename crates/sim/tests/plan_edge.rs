@@ -268,3 +268,49 @@ fn traced_runs_produce_identical_event_streams() {
     assert_eq!(s1.0, s2.0, "trace event streams diverged");
     assert_eq!(s1.0.len() as u64, r1.retired);
 }
+
+#[test]
+fn masked_unit_store_dirties_only_the_pages_it_writes() {
+    // e8 m8 at VLEN=128: 128 one-byte elements from 4032 straddle the
+    // 4 KiB page boundary at 4096, but only elements 0..64 (all below it)
+    // are active. The plan tier's one-check bulk store must leave page 1
+    // clean, as the per-element stores do, so snapshots stay identical.
+    let p = Program::new(
+        "masked-vse",
+        vec![
+            Instr::Vsetvli {
+                rd: XReg::ZERO,
+                rs1: XReg::new(10),
+                vtype: VType::new(Sew::E8, Lmul::M8),
+            },
+            Instr::VStore {
+                eew: Sew::E8,
+                vs3: VReg::new(8),
+                rs1: XReg::new(11),
+                vm: false,
+            },
+            Instr::Ecall,
+        ],
+    );
+    let plan = CompiledPlan::compile(p.clone());
+    let setup = |m: &mut Machine| {
+        m.set_xreg(XReg::new(10), 128);
+        m.set_xreg(XReg::new(11), 4032);
+        let mut v0 = [0u8; 16];
+        v0[..8].fill(0xff);
+        m.set_vreg_bytes(VReg::V0, &v0);
+    };
+    let (mut ml, mut mp) = (machine(), machine());
+    setup(&mut ml);
+    setup(&mut mp);
+    let rl = ml.run_legacy(&p, 100, 0, &mut ());
+    let rp = mp.run_plan(&plan, 100, 0, false, &mut ());
+    assert_eq!(rp, rl);
+    assert_eq!(
+        ml.mem.dirty_pages(),
+        1,
+        "the legacy store dirties page 0 only"
+    );
+    assert_eq!(mp.mem.dirty_pages(), ml.mem.dirty_pages());
+    assert_eq!(mp.mem.snapshot(), ml.mem.snapshot());
+}
